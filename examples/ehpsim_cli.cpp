@@ -114,6 +114,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -1348,10 +1349,8 @@ raceMain(int argc, char **argv)
 #endif // EHPSIM_RACE
 }
 
-} // anonymous namespace
-
 int
-main(int argc, char **argv)
+dispatch(int argc, char **argv)
 {
     if (argc > 1 && std::strcmp(argv[1], "race") == 0)
         return raceMain(argc, argv);
@@ -1409,4 +1408,25 @@ main(int argc, char **argv)
         std::printf("trace written to %s\n", opt.trace_path.c_str());
     }
     return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    // Malformed input exits 2 with a message instead of reaching
+    // std::terminate: std::sto* throws std::invalid_argument or
+    // std::out_of_range on a bad number, and fatal() throws after
+    // printing its own message (a bad size suffix, fault spec, or
+    // configuration).
+    try {
+        return dispatch(argc, argv);
+    } catch (const std::logic_error &e) {
+        std::fprintf(stderr, "%s: malformed numeric argument (%s)\n",
+                     argv[0], e.what());
+        return 2;
+    } catch (const std::runtime_error &) {
+        return 2;
+    }
 }

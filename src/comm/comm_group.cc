@@ -711,10 +711,16 @@ CommGroup::runTask(const OpHandle &op, std::uint32_t idx)
     // Replay the cached route: no per-chunk route-table walk. Tasks
     // always join distinct ranks, so this is exactly send() minus
     // the lookup.
-    const auto res =
-        net_->sendOnRoute(q->curTick(), routeFor(t.route_slot),
-                          t.bytes, false, shard ? &shard->send
-                                                : nullptr);
+    const fabric::LinkRoute &route = routeFor(t.route_slot);
+    // Every chunk leaves at its queue's clock, and no hop of any
+    // later chunk over these links starts before it, so their
+    // occupancy history behind it is unreachable: retire it. This is
+    // the only place link floors advance (DESIGN.md §12).
+    const Tick now = q->curTick();
+    for (fabric::Link *l : route.links)
+        l->retireBefore(now);
+    const auto res = net_->sendOnRoute(
+        now, route, t.bytes, false, shard ? &shard->send : nullptr);
     // Chunk completion mutates shared per-op state (link_bytes_,
     // finish_ max-merge, dependent ready/deps, pending_); same-tick
     // completions of one op are the canonical batch-reorder case.

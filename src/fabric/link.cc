@@ -154,8 +154,8 @@ Link::derate(double factor)
     // Rate change races with any same-tick transfer over this link.
     EHPSIM_TRACK_WRITE(this, "state");
     derate_ *= factor;
-    occupancy_.setBandwidth(effectiveBandwidth() /
-                            static_cast<double>(ticksPerSecond));
+    occupancy_.setRate(effectiveBandwidth() /
+                       static_cast<double>(ticksPerSecond));
 }
 
 void
@@ -175,9 +175,8 @@ void
 Link::restore(SnapshotReader &r)
 {
     StatGroup::restore(r);
-    // The tracker restore sets bytes_per_tick_ and window_ directly;
-    // going through derate()/setBandwidth() here would recompute the
-    // window and double-apply the derating.
+    // The tracker restores its own (possibly derated) rate; calling
+    // derate() here would apply the derating twice.
     occupancy_.restore(r);
     first_use_ = r.getU64();
     last_done_ = r.getU64();

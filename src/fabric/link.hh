@@ -72,6 +72,18 @@ class Link : public SimObject
                   bool high_priority = false);
 
     /**
+     * Promise that no bulk transfer will start before @p mark and
+     * free the occupancy history behind it
+     * (mem::OccupancyTracker::retireBefore). Only a sender whose
+     * issue ticks never run backward may call this.
+     */
+    void retireBefore(Tick mark) { occupancy_.retireBefore(mark); }
+
+    /** Occupancy pages held: the in-flight span once the sender
+     *  retires history behind its clock. */
+    std::size_t occupancyPages() const { return occupancy_.livePages(); }
+
+    /**
      * Permanently fail this link (fault injection). The Network
      * stops routing over dead links, so a transfer on one is a
      * simulator bug and panics.

@@ -26,8 +26,8 @@ Cache::Cache(SimObject *parent, const std::string &name,
 {
     const Tick period = periodFromGHz(params.clock_ghz);
     latency_ticks_ = params.latency_cycles * period;
-    port_.setBandwidth(params.bytes_per_cycle /
-                       static_cast<double>(period));
+    port_ = OccupancyTracker(params.bytes_per_cycle /
+                             static_cast<double>(period));
 }
 
 AccessResult

@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
 #include "sim/types.hh"
@@ -56,51 +57,54 @@ class MemDevice : public SimObject
  * A bandwidth-limited resource with backfill.
  *
  * Time is divided into fixed windows, each with a byte budget of
- * bandwidth x window. A transfer starting at @p when consumes budget
- * from its window onward and completes when its last byte fits.
- * Unlike a strict next-free FIFO, a transfer arriving *earlier* than
+ * rate x window. A transfer starting at @p when consumes budget from
+ * its window onward and completes when its last byte fits. Unlike a
+ * strict next-free FIFO, a transfer arriving *earlier* than
  * previously-reserved traffic can use leftover budget in earlier
  * windows (backfill), so out-of-order completions upstream do not
  * artificially serialize independent requests — they only contend
  * for bandwidth.
  *
- * Window state lives in dense fixed-size pages indexed from the
- * first window ever touched, not in hash maps: a saturating
- * transfer walks its windows in order, so per-window bookkeeping is
- * two array writes instead of two hash probes, untouched gaps cost
- * one null page pointer, and teardown frees whole pages. This is
- * the fabric hot path (DESIGN.md §12) — a multi-MiB chunk crossing
- * an x16 link consumes ~1k windows per hop, and the old
- * unordered_map storage spent most of comm_allreduce_octo's wall
- * time rehashing. The arithmetic (window budgets, the 1e-6 fullness
- * epsilon, completion rounding) is unchanged, so completion ticks
- * and windowLoads() output are byte-identical to the map-backed
- * tracker.
+ * Pages. Window state lives in dense 512-window pages held in a
+ * sliding page table whose slot 0 is page @c base_page_: a
+ * saturating transfer walks its windows in order, so per-window
+ * bookkeeping is two array writes, and untouched gaps cost one null
+ * page pointer. This is the fabric hot path (DESIGN.md §12) — a
+ * multi-MiB chunk crossing an x16 link consumes ~1k windows per
+ * hop — so a page lookup stays one subtraction and one index.
+ *
+ * Floor. occupy(when) never reads a window before when / window, so
+ * an owner whose issue ticks are monotone can promise "no occupy()
+ * below tick T from now on" with retireBefore(T): pages wholly below
+ * T's page are freed, and occupy() panics if the promise is broken.
+ * The floor is a tick, not a window index, so it survives any rate
+ * change. Only the event-driven comm sender advances it (each chunk
+ * leaves at its queue's curTick()); callers with out-of-order issue
+ * ticks (memory devices, atomic remote accesses) never do, and keep
+ * their whole history. Retirement is exact: a retired tracker hands
+ * out the same completion ticks as one that never retires.
+ *
+ * Grid. The window length is fixed at construction (sized to carry
+ * ~1 KiB at the nominal rate). setRate() — a link derate — changes
+ * only the per-window budget, so windows filled before the change
+ * keep their index and their meaning.
  */
 class OccupancyTracker
 {
   public:
-    /** @param bytes_per_tick Bandwidth (may be fractional). */
+    /** @param bytes_per_tick Nominal bandwidth (may be fractional);
+     *  also sizes the window grid. */
     explicit OccupancyTracker(double bytes_per_tick = 0.0)
+        : bytes_per_tick_(bytes_per_tick),
+          window_(windowFor(bytes_per_tick))
     {
-        setBandwidth(bytes_per_tick);
     }
 
+    /** Change the rate (e.g. a derate) on the existing window grid. */
     void
-    setBandwidth(double bytes_per_tick)
+    setRate(double bytes_per_tick)
     {
         bytes_per_tick_ = bytes_per_tick;
-        if (bytes_per_tick_ > 0.0) {
-            // Window sized to carry ~1 KiB, clamped to [1 ns, 1 us].
-            double w = 1024.0 / bytes_per_tick_;
-            if (w < 1000.0)
-                w = 1000.0;
-            if (w > 1'000'000.0)
-                w = 1'000'000.0;
-            window_ = static_cast<Tick>(w);
-        } else {
-            window_ = 1000;
-        }
     }
 
     double bandwidth() const { return bytes_per_tick_; }
@@ -112,6 +116,9 @@ class OccupancyTracker
     Tick
     occupy(Tick when, std::uint64_t bytes)
     {
+        if (when < floor_)
+            panic("occupancy: occupy() at tick ", when,
+                  " below the retirement floor ", floor_);
         if (bytes_per_tick_ <= 0.0 || bytes == 0)
             return when;
         const double budget =
@@ -156,60 +163,68 @@ class OccupancyTracker
         }
     }
 
+    /**
+     * Promise that every later occupy() starts at or after @p mark,
+     * and free the pages wholly below @p mark's page. Monotone: a
+     * mark at or below the current floor is a no-op.
+     */
+    void
+    retireBefore(Tick mark)
+    {
+        if (mark <= floor_)
+            return;
+        // Slots below the floor's page are already freed.
+        const std::size_t from = slotBelow(floor_);
+        floor_ = mark;
+        const std::size_t dead = slotBelow(floor_);
+        for (std::size_t i = from; i < dead; ++i)
+            pages_[i].reset();
+        // Slide the table once the freed prefix outgrows the live
+        // part, so compaction is amortized O(1) per retired page.
+        if (dead == pages_.size()) {
+            pages_.clear();
+        } else if (dead > pages_.size() - dead) {
+            pages_.erase(pages_.begin(),
+                         pages_.begin() + static_cast<std::ptrdiff_t>(dead));
+            base_page_ += dead;
+        }
+    }
+
+    /** The retirement floor: no occupy() may start before it. */
+    Tick floor() const { return floor_; }
+
+    /** Pages currently allocated (diagnostic; bounded by the
+     *  in-flight span once the owner advances the floor). */
+    std::size_t
+    livePages() const
+    {
+        return static_cast<std::size_t>(
+            std::count_if(pages_.begin(), pages_.end(),
+                          [](const auto &p) { return p != nullptr; }));
+    }
+
     /** Latest completion handed out (diagnostic only). */
     Tick nextFree() const { return last_done_; }
-
-    /**
-     * (window start tick, bytes consumed) pairs in ascending window
-     * order — the deterministic way to inspect the tracker. Pages
-     * are stored in window order, so this is a forward scan that
-     * skips windows no transfer ever consumed from.
-     */
-    std::vector<std::pair<Tick, double>>
-    windowLoads() const
-    {
-        std::vector<std::pair<Tick, double>> out;
-        for (std::size_t p = 0; p < pages_.size(); ++p) {
-            if (!pages_[p])
-                continue;
-            const std::uint64_t first =
-                (base_page_ + p) << kPageBits;
-            for (std::uint64_t k = 0; k < kPageWindows; ++k) {
-                const double u = pages_[p]->used[k];
-                if (u > 0.0)
-                    out.emplace_back((first + k) * window_, u);
-            }
-        }
-        return out;
-    }
-
-    /** Bytes consumed across all windows. Sums in window order so
-     *  the floating-point total is byte-stable run to run. */
-    double
-    totalBytes() const
-    {
-        double sum = 0;
-        for (const auto &[start, bytes] : windowLoads())
-            sum += bytes;
-        return sum;
-    }
 
     void
     reset()
     {
         pages_.clear();
         base_page_ = 0;
-        touched_ = false;
+        floor_ = 0;
         last_done_ = 0;
     }
 
     /**
      * @{ Checkpoint the consumed-budget windows (DESIGN.md §16).
-     * Skip chains are a pure accelerator over full windows and are
-     * deliberately not saved: findFree() answers identically from
-     * the used values alone and rebuilds the chains as it walks.
-     * window_ is saved explicitly (not recomputed) because a
-     * derated link re-derives it through setBandwidth().
+     * One rule decides what is saved: the windows at or after
+     * max(floor, save tick). occupy() never reads below when /
+     * window, and nothing issued from the save tick on passes a
+     * smaller @c when, so every earlier window is unreachable — it
+     * is dropped, and post-restore behavior is byte-identical. Skip
+     * chains are a pure accelerator over full windows and are not
+     * saved: findFree() answers identically from the used values
+     * alone and rebuilds the chains as it walks.
      */
     void
     snapshot(SnapshotWriter &w) const
@@ -217,24 +232,24 @@ class OccupancyTracker
         w.putF64(bytes_per_tick_);
         w.putU64(window_);
         w.putU64(last_done_);
-        w.putBool(touched_);
-        w.putU64(base_page_);
-        // occupy(when) only ever scans forward from when/window_,
-        // and no event scheduled at or after the save tick can pass
-        // when < horizon, so windows that end at or before the
-        // horizon can never be read again — drop them. A warmed
-        // link's history otherwise dominates the checkpoint (the
-        // sweep fast-forward blob shrank ~100x, DESIGN.md §16);
-        // post-restore behavior is byte-identical either way since
-        // nothing downstream reads retired windows.
-        const std::uint64_t keep_from = w.horizon() / window_;
-        auto loads = windowLoads();
-        std::erase_if(loads, [&](const auto &e) {
-            return e.first / window_ < keep_from;
-        });
-        w.putU64(loads.size());
-        for (const auto &[start, used] : loads) {
-            w.putU64(start / window_);
+        w.putU64(floor_);
+        const std::uint64_t keep_from =
+            std::max<std::uint64_t>(floor_, w.horizon()) / window_;
+        std::vector<std::pair<std::uint64_t, double>> live;
+        for (std::size_t p = 0; p < pages_.size(); ++p) {
+            if (!pages_[p])
+                continue;
+            const std::uint64_t first =
+                (base_page_ + p) << kPageBits;
+            for (std::uint64_t k = 0; k < kPageWindows; ++k) {
+                const double u = pages_[p]->used[k];
+                if (u > 0.0 && first + k >= keep_from)
+                    live.emplace_back(first + k, u);
+            }
+        }
+        w.putU64(live.size());
+        for (const auto &[win, used] : live) {
+            w.putU64(win);
             w.putF64(used);
         }
     }
@@ -246,8 +261,7 @@ class OccupancyTracker
         bytes_per_tick_ = r.getF64();
         window_ = r.getU64();
         last_done_ = r.getU64();
-        touched_ = r.getBool();
-        base_page_ = r.getU64();
+        floor_ = r.getU64();
         const auto n = r.getU64();
         for (std::uint64_t i = 0; i < n; ++i) {
             const std::uint64_t win = r.getU64();
@@ -274,23 +288,32 @@ class OccupancyTracker
         std::array<std::uint64_t, kPageWindows> skip{};
     };
 
+    /** Window sized to carry ~1 KiB, clamped to [1 ns, 1 us]. */
+    static Tick
+    windowFor(double bytes_per_tick)
+    {
+        if (bytes_per_tick <= 0.0)
+            return 1000;
+        return static_cast<Tick>(
+            std::clamp(1024.0 / bytes_per_tick, 1000.0, 1'000'000.0));
+    }
+
     /** The page holding window @p w, allocating it (and any page
-     *  table growth, including in front of the first touch) on
-     *  demand. */
+     *  table growth, including in front of slot 0) on demand. */
     Page &
     pageFor(std::uint64_t w)
     {
         const std::uint64_t p = w >> kPageBits;
-        if (!touched_) {
+        if (pages_.empty())
             base_page_ = p;
-            touched_ = true;
-        }
         if (p < base_page_) {
+            // Backfill before the first page held; the floor keeps
+            // it at or above the floor's page.
             const std::uint64_t add = base_page_ - p;
             std::vector<std::unique_ptr<Page>> grown(pages_.size() +
                                                      add);
             std::move(pages_.begin(), pages_.end(),
-                      grown.begin() + add);
+                      grown.begin() + static_cast<std::ptrdiff_t>(add));
             pages_ = std::move(grown);
             base_page_ = p;
         }
@@ -302,15 +325,24 @@ class OccupancyTracker
         return *pages_[idx];
     }
 
-    /** The page holding window @p w, or nullptr if never touched. */
+    /** Number of page-table slots wholly below tick @p t's page. */
+    std::size_t
+    slotBelow(Tick t) const
+    {
+        const std::uint64_t page = (t / window_) >> kPageBits;
+        if (page <= base_page_)
+            return 0;
+        return static_cast<std::size_t>(
+            std::min<std::uint64_t>(page - base_page_, pages_.size()));
+    }
+
+    /** The page holding window @p w, or nullptr if none is held. */
     const Page *
     peekPage(std::uint64_t w) const
     {
         const std::uint64_t p = w >> kPageBits;
-        if (!touched_ || p < base_page_ ||
-            p - base_page_ >= pages_.size()) {
+        if (p < base_page_ || p - base_page_ >= pages_.size())
             return nullptr;
-        }
         return pages_[p - base_page_].get();
     }
 
@@ -372,10 +404,12 @@ class OccupancyTracker
 
     double bytes_per_tick_ = 0.0;
     Tick window_ = 1000;
-    /** Page table; index 0 is @c base_page_ (first page touched). */
+    /** Page table; slot i holds page @c base_page_ + i. Slots below
+     *  the floor's page are null (retired). */
     std::vector<std::unique_ptr<Page>> pages_;
     std::uint64_t base_page_ = 0;
-    bool touched_ = false;
+    /** No occupy() may start before this tick (retireBefore()). */
+    Tick floor_ = 0;
     Tick last_done_ = 0;
 };
 

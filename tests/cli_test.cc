@@ -1,8 +1,8 @@
 /**
  * @file
  * End-to-end checks of ehpsim_cli flag handling that unit tests
- * can't see: `sweep --pdes` must be rejected with a clear error (it
- * was silently accepted and ignored through PR 9), and the comm
+ * can't see: `sweep --pdes` and malformed numbers or sizes must be
+ * rejected with exit 2 and a clear error, and the comm
  * checkpoint/fork path must produce byte-identical JSON to the
  * straight-through run while actually sharing the warmup (DESIGN.md
  * §16). The binary comes in via EHPSIM_CLI_BIN.
@@ -79,6 +79,28 @@ TEST(CliSweep, PlainSweepStillWorks)
     EXPECT_EQ(res.exit_code, 0) << res.stderr_text;
     EXPECT_FALSE(slurp("cli_test_sweep.json").empty());
     std::remove("cli_test_sweep.json");
+}
+
+TEST(CliFlags, MalformedNumberExitsTwo)
+{
+    // std::stoul's std::invalid_argument used to escape main and
+    // abort (exit 134).
+    const auto res = runCli("serve --jobs banana", "bad_number");
+    EXPECT_EQ(res.exit_code, 2) << res.stderr_text;
+    EXPECT_NE(res.stderr_text.find("malformed numeric argument"),
+              std::string::npos)
+        << res.stderr_text;
+}
+
+TEST(CliFlags, BadSizeSuffixExitsTwo)
+{
+    // parseSize() reports through fatal(), whose exception used to
+    // escape main and abort (exit 134).
+    const auto res = runCli("comm --sizes 12Q", "bad_size");
+    EXPECT_EQ(res.exit_code, 2) << res.stderr_text;
+    EXPECT_NE(res.stderr_text.find("bad size suffix in '12Q'"),
+              std::string::npos)
+        << res.stderr_text;
 }
 
 TEST(CliComm, ForkedWarmupSweepIsByteIdentical)

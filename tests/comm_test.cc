@@ -299,6 +299,31 @@ TEST(CommFaults, RouteCacheFollowsMidSimReroute)
     EXPECT_EQ(second->linkBytes(), 3ull * 4 * MiB);
 }
 
+TEST(CommOccupancy, SparseAllReducesKeepLinkHistoryBounded)
+{
+    // TP decode shape: one small all-reduce per step, far apart in
+    // sim time. The sender retires each link's occupancy history
+    // behind its clock, so a link holds the last step's pages, not
+    // one stranded page per step.
+    SimObject root(nullptr, "root");
+    auto node = NodeTopology::mi300xOctoNode(&root);
+    EventQueue eq;
+    CommGroup group(node.get(), "comm", node->network(),
+                    node->deviceRanks(), &eq, fineGrained());
+    for (int step = 0; step < 64; ++step) {
+        group.allReduce(static_cast<Tick>(step) * 1'000'000'000,
+                        512 * KiB, Algorithm::ring);
+        group.waitAll();
+    }
+    std::size_t used = 0;
+    for (const fabric::Link *l : node->network()->allLinks()) {
+        EXPECT_LE(l->occupancyPages(), 2u) << l->name();
+        if (l->transfers.value() > 0)
+            ++used;
+    }
+    EXPECT_GT(used, 0u);
+}
+
 TEST(CommGroupCtor, RejectsBadRankSets)
 {
     SimObject root(nullptr, "root");

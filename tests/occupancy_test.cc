@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "mem/mem_device.hh"
@@ -114,6 +115,63 @@ TEST(Occupancy, ResetClearsHistory)
     EXPECT_LT(done, 2000u);
 }
 
+TEST(Occupancy, DerateKeepsTheWindowGrid)
+{
+    // Fill window 0 ([0, 1024) at 1 B/tick), then halve the rate. A
+    // transfer at tick 1024 belongs to the empty window 1 on the
+    // original grid and finishes after its own serialization time.
+    // Re-deriving the window (2048 ticks at the new rate) would map
+    // tick 1024 back onto the full window 0 and push the transfer a
+    // whole window later.
+    OccupancyTracker t(1.0);
+    EXPECT_EQ(t.occupy(0, 1024), 1024u);
+    t.setRate(0.5);
+    EXPECT_EQ(t.occupy(1024, 512), 2048u);
+}
+
+TEST(Occupancy, SparseTrafficKeepsLivePagesBounded)
+{
+    // One TP-8 decode step's all-reduce share on one octo-node link:
+    // 66,657 B every 2.734 ms over a 64 GB/s x16 link. Each transfer
+    // spans ~65 windows, far apart in time, so without retirement
+    // every step allocates a fresh page. With the floor advanced to
+    // each issue tick, live state is the in-flight transfer only.
+    OccupancyTracker t(gbps(64.0) / static_cast<double>(ticksPerSecond));
+    const Tick gap = 2'734'000'000;
+    const std::uint64_t bytes = 66'657;
+    const Tick ser = serializationTicks(bytes, gbps(64.0));
+    std::size_t max_live = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        const Tick when = static_cast<Tick>(i) * gap;
+        t.retireBefore(when);
+        const Tick done = t.occupy(when, bytes);
+        EXPECT_NEAR(static_cast<double>(done),
+                    static_cast<double>(when + ser), 1.0);
+        max_live = std::max(max_live, t.livePages());
+    }
+    EXPECT_LE(max_live, 2u);
+    EXPECT_EQ(t.floor(), 19'999 * gap);
+}
+
+TEST(Occupancy, RetirementNeverGoesBackward)
+{
+    OccupancyTracker t(1.0);
+    t.retireBefore(5'000'000);
+    t.retireBefore(1'000);
+    EXPECT_EQ(t.floor(), 5'000'000u);
+    EXPECT_EQ(t.occupy(5'000'000, 512), 5'000'512u);
+}
+
+TEST(OccupancyDeathTest, OccupyBelowTheFloorPanics)
+{
+    OccupancyTracker t(1.0);
+    t.occupy(0, 4096);
+    t.retireBefore(2'000'000);
+    EXPECT_DEATH(t.occupy(1'999'999, 64), "below the retirement floor");
+    // The parent's tracker is untouched by the forked child.
+    EXPECT_EQ(t.occupy(2'000'000, 64), 2'000'064u);
+}
+
 class OccupancyRandom : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -153,6 +211,30 @@ TEST_P(OccupancyRandom, MonotoneUnderSaturation)
         EXPECT_GE(done, prev_done);
         prev_done = done;
     }
+}
+
+TEST_P(OccupancyRandom, RetiredMatchesNeverRetired)
+{
+    // Monotone issue ticks with bursts (queueing across many windows
+    // and pages), idle gaps (whole pages retired), and a mid-stream
+    // derate: the retiring tracker must hand out exactly the
+    // completion ticks of one that keeps its whole history.
+    OccupancyTracker retired(1.0), kept(1.0);
+    Rng rng(GetParam());
+    Tick when = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        if (i == 10'000) {
+            retired.setRate(0.375);
+            kept.setRate(0.375);
+        }
+        when += rng.nextBounded(8) == 0 ? rng.nextBounded(4'000'000)
+                                        : rng.nextBounded(2'000);
+        const std::uint64_t bytes = 1 + rng.nextBounded(16'384);
+        retired.retireBefore(when);
+        ASSERT_EQ(retired.occupy(when, bytes), kept.occupy(when, bytes))
+            << "transfer " << i << " at tick " << when;
+    }
+    EXPECT_LT(retired.livePages(), kept.livePages());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OccupancyRandom,

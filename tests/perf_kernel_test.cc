@@ -121,9 +121,13 @@ TEST(PerfKernel, FabricBenchCountersMatchGoldens)
         // (Re-pinned when the transient-fault draw moved from a
         // sequential Rng stream to the counter-based hash of
         // (seed, op, task, attempt) — the schedule-keyed model that
-        // is identical under serial and PDES execution.)
+        // is identical under serial and PDES execution, and again
+        // when a link derate stopped re-deriving the occupancy window
+        // grid: the old grid change made post-derate transfers read
+        // pre-derate windows at reinterpreted indices, i.e. phantom
+        // contention from about half the sim time earlier.)
         {"events_processed", "237"},
-        {"final_tick", "1186732000"},
+        {"final_tick", "1170378000"},
         {"chunk_retries", "11"},
         {"faults_injected", "13"},
     };
