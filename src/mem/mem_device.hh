@@ -66,12 +66,14 @@ class MemDevice : public SimObject
  * for bandwidth.
  *
  * Pages. Window state lives in dense 512-window pages held in a
- * sliding page table whose slot 0 is page @c base_page_: a
- * saturating transfer walks its windows in order, so per-window
- * bookkeeping is two array writes, and untouched gaps cost one null
- * page pointer. This is the fabric hot path (DESIGN.md §12) — a
- * multi-MiB chunk crossing an x16 link consumes ~1k windows per
- * hop — so a page lookup stays one subtraction and one index.
+ * sliding page table whose slot 0 is page @c base_page_; untouched
+ * gaps cost one null page pointer. This is the fabric hot path
+ * (DESIGN.md §12) — a multi-MiB chunk crossing an x16 link consumes
+ * ~1k windows per hop — so both window walks look a page up once
+ * and then index its arrays directly: occupy() fills consecutive
+ * free windows of one page in a tight loop, and findFree() follows
+ * the skip chain over full windows one page at a time. A walk costs
+ * one page lookup per page it touches, not per window.
  *
  * Floor. occupy(when) never reads a window before when / window, so
  * an owner whose issue ticks are monotone can promise "no occupy()
@@ -88,6 +90,12 @@ class MemDevice : public SimObject
  * ~1 KiB at the nominal rate). setRate() — a link derate — changes
  * only the per-window budget, so windows filled before the change
  * keep their index and their meaning.
+ *
+ * Rates never increase. A skip entry marks a window full against the
+ * budget in force when it was written, and a snapshot keeps only the
+ * used values on the promise that findFree() answers the same from
+ * them alone. Both hold only while the budget never grows, so
+ * setRate() panics on a rate above the current one.
  */
 class OccupancyTracker
 {
@@ -100,10 +108,14 @@ class OccupancyTracker
     {
     }
 
-    /** Change the rate (e.g. a derate) on the existing window grid. */
+    /** Lower the rate (e.g. a derate) on the existing window grid;
+     *  a higher rate panics (see "Rates never increase"). */
     void
     setRate(double bytes_per_tick)
     {
+        if (bytes_per_tick > bytes_per_tick_)
+            panic("occupancy: setRate(", bytes_per_tick,
+                  ") above the current rate ", bytes_per_tick_);
         bytes_per_tick_ = bytes_per_tick;
     }
 
@@ -123,18 +135,23 @@ class OccupancyTracker
             return when;
         const double budget =
             bytes_per_tick_ * static_cast<double>(window_);
+        const double full = budget - 1e-6;
         std::uint64_t w = when / window_;
         double remaining = static_cast<double>(bytes);
 
         // The first window only offers the budget left after 'when'.
         {
+            Page &pg = pageFor(w);
+            double &u = pg.used[w & kPageMask];
             const Tick w_end = (w + 1) * window_;
             const double time_avail = static_cast<double>(w_end - when);
-            double avail = std::min(time_avail * bytes_per_tick_,
-                                    budget - usedAt(w));
+            const double avail =
+                std::min(time_avail * bytes_per_tick_, budget - u);
             if (avail > 0) {
                 const double take = std::min(avail, remaining);
-                consume(w, take, budget);
+                u += take;
+                if (u >= full)
+                    pg.skip[w & kPageMask] = w + 1;
                 remaining -= take;
             }
             if (remaining <= 0) {
@@ -145,21 +162,31 @@ class OccupancyTracker
                 last_done_ = std::max(last_done_, done);
                 return done;
             }
-            w = findFree(w + 1, budget);
         }
+        // Fill free windows a page at a time: stay in this page while
+        // the next window is free and has no skip entry, and let
+        // findFree() hop over anything else.
         for (;;) {
-            const double avail = budget - usedAt(w);
-            const double take = std::min(avail, remaining);
-            consume(w, take, budget);
-            remaining -= take;
-            if (remaining <= 0) {
-                const Tick done =
-                    w * window_ +
-                    static_cast<Tick>(usedAt(w) / bytes_per_tick_);
-                last_done_ = std::max(last_done_, done);
-                return done;
+            w = findFree(w + 1, full);
+            Page &pg = pageFor(w);
+            for (std::uint64_t k = w & kPageMask;; ++k, ++w) {
+                double &u = pg.used[k];
+                const double take = std::min(budget - u, remaining);
+                u += take;
+                if (u >= full)
+                    pg.skip[k] = w + 1;
+                remaining -= take;
+                if (remaining <= 0) {
+                    const Tick done =
+                        w * window_ +
+                        static_cast<Tick>(u / bytes_per_tick_);
+                    last_done_ = std::max(last_done_, done);
+                    return done;
+                }
+                if (k + 1 == kPageWindows || pg.skip[k + 1] != 0 ||
+                    !(pg.used[k + 1] < full))
+                    break;
             }
-            w = findFree(w + 1, budget);
         }
     }
 
@@ -346,60 +373,47 @@ class OccupancyTracker
         return pages_[p - base_page_].get();
     }
 
-    double
-    usedAt(std::uint64_t w) const
-    {
-        const Page *p = peekPage(w);
-        return p ? p->used[w & kPageMask] : 0.0;
-    }
-
-    std::uint64_t
-    skipAt(std::uint64_t w) const
-    {
-        const Page *p = peekPage(w);
-        return p ? p->skip[w & kPageMask] : 0;
-    }
-
     /**
-     * First window at or after @p w with free budget, following the
-     * path-compressed skip chain over full windows.
+     * First window at or after @p w used below @p full, following
+     * the path-compressed skip chain over full windows one page at a
+     * time: a window without a page is free.
      */
     std::uint64_t
-    findFree(std::uint64_t w, double budget)
+    findFree(std::uint64_t w, double full)
     {
         // Walk the chain.
         std::uint64_t cur = w;
-        for (;;) {
-            const std::uint64_t s = skipAt(cur);
-            std::uint64_t next = s == 0 ? cur : s;
-            if (next == cur) {
-                if (usedAt(cur) < budget - 1e-6)
-                    break;
-                next = cur + 1;
+        while (const Page *pg = peekPage(cur)) {
+            const std::uint64_t page_end = (cur | kPageMask) + 1;
+            while (cur < page_end) {
+                const std::uint64_t s = pg->skip[cur & kPageMask];
+                if (s != 0)
+                    cur = s;
+                else if (pg->used[cur & kPageMask] < full)
+                    return compress(w, cur);
+                else
+                    ++cur;
             }
-            cur = next;
         }
-        // Path-compress: point every visited window at the answer.
-        // Every compressed window was full, so its page exists.
-        std::uint64_t walk = w;
-        while (walk < cur) {
-            const std::uint64_t s = skipAt(walk);
-            const std::uint64_t next = s == 0 ? walk + 1 : s;
-            pageFor(walk).skip[walk & kPageMask] = cur;
-            walk = next;
-        }
-        return cur;
+        return compress(w, cur);
     }
 
-    /** Record usage; mark the window full in the skip chain. */
-    void
-    consume(std::uint64_t w, double take, double budget)
+    /** Point every window on the chain from @p w at the free window
+     *  @p free. Every such window was full, so its page exists. */
+    std::uint64_t
+    compress(std::uint64_t w, std::uint64_t free)
     {
-        Page &p = pageFor(w);
-        double &u = p.used[w & kPageMask];
-        u += take;
-        if (u >= budget - 1e-6)
-            p.skip[w & kPageMask] = w + 1;
+        while (w < free) {
+            Page &pg = pageFor(w);
+            const std::uint64_t page_end = (w | kPageMask) + 1;
+            while (w < free && w < page_end) {
+                std::uint64_t &s = pg.skip[w & kPageMask];
+                const std::uint64_t next = s == 0 ? w + 1 : s;
+                s = free;
+                w = next;
+            }
+        }
+        return free;
     }
 
     double bytes_per_tick_ = 0.0;

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "mem/mem_device.hh"
 #include "sim/rng.hh"
+#include "sim/snapshot.hh"
 #include "sim/units.hh"
 
 using namespace ehpsim;
@@ -172,6 +175,144 @@ TEST(OccupancyDeathTest, OccupyBelowTheFloorPanics)
     EXPECT_EQ(t.occupy(2'000'000, 64), 2'000'064u);
 }
 
+TEST(OccupancyDeathTest, RateIncreasePanics)
+{
+    // Skip chains and snapshots assume the per-window budget never
+    // grows; only equal or lower rates are accepted.
+    OccupancyTracker t(1.0);
+    t.setRate(1.0);
+    t.setRate(0.5);
+    EXPECT_DEATH(t.setRate(0.75), "above the current rate");
+    EXPECT_EQ(t.bandwidth(), 0.5);
+}
+
+namespace
+{
+
+/**
+ * The tracker's arithmetic with none of its machinery: one map entry
+ * per touched window, every full window stepped over one at a time,
+ * no pages and no skip chains. OccupancyTracker must agree with it
+ * exactly, completion ticks and snapshot bytes alike.
+ */
+class ReferenceTracker
+{
+  public:
+    explicit ReferenceTracker(double bytes_per_tick)
+        : rate_(bytes_per_tick),
+          window_(static_cast<Tick>(std::clamp(1024.0 / bytes_per_tick,
+                                               1000.0, 1'000'000.0)))
+    {
+    }
+
+    void setRate(double bytes_per_tick) { rate_ = bytes_per_tick; }
+
+    /** One window's byte budget at the current rate. */
+    double
+    windowBytes() const
+    {
+        return rate_ * static_cast<double>(window_);
+    }
+
+    void
+    retireBefore(Tick mark)
+    {
+        floor_ = std::max(floor_, mark);
+        used_.erase(used_.begin(), used_.lower_bound(floor_ / window_));
+    }
+
+    Tick
+    occupy(Tick when, std::uint64_t bytes)
+    {
+        const double budget = rate_ * static_cast<double>(window_);
+        const double full = budget - 1e-6;
+        std::uint64_t w = when / window_;
+        double remaining = static_cast<double>(bytes);
+        const double time_avail =
+            static_cast<double>((w + 1) * window_ - when);
+        const double avail =
+            std::min(time_avail * rate_, budget - usedAt(w));
+        if (avail > 0) {
+            const double take = std::min(avail, remaining);
+            used_[w] += take;
+            remaining -= take;
+        }
+        if (remaining <= 0)
+            return finish(when + static_cast<Tick>(
+                                     static_cast<double>(bytes) /
+                                     rate_ + 0.5));
+        for (;;) {
+            // Step over full windows one at a time.
+            auto it = used_.lower_bound(++w);
+            for (; it != used_.end() && it->first == w &&
+                   !(it->second < full);
+                 ++it)
+                ++w;
+            double &u = used_[w];
+            const double take = std::min(budget - u, remaining);
+            u += take;
+            remaining -= take;
+            if (remaining <= 0)
+                return finish(w * window_ +
+                              static_cast<Tick>(u / rate_));
+        }
+    }
+
+    /** OccupancyTracker::snapshot()'s layout. */
+    void
+    snapshot(SnapshotWriter &w) const
+    {
+        w.putF64(rate_);
+        w.putU64(window_);
+        w.putU64(last_done_);
+        w.putU64(floor_);
+        const std::uint64_t keep_from =
+            std::max<std::uint64_t>(floor_, w.horizon()) / window_;
+        std::vector<std::pair<std::uint64_t, double>> live;
+        for (const auto &[win, used] : used_)
+            if (used > 0.0 && win >= keep_from)
+                live.emplace_back(win, used);
+        w.putU64(live.size());
+        for (const auto &[win, used] : live) {
+            w.putU64(win);
+            w.putF64(used);
+        }
+    }
+
+  private:
+    double
+    usedAt(std::uint64_t w) const
+    {
+        const auto it = used_.find(w);
+        return it == used_.end() ? 0.0 : it->second;
+    }
+
+    Tick
+    finish(Tick done)
+    {
+        last_done_ = std::max(last_done_, done);
+        return done;
+    }
+
+    double rate_;
+    Tick window_;
+    std::map<std::uint64_t, double> used_;
+    Tick floor_ = 0;
+    Tick last_done_ = 0;
+};
+
+template <class Tracker>
+std::string
+blobOf(const Tracker &t, Tick horizon)
+{
+    SnapshotWriter w;
+    w.setHorizon(horizon);
+    t.snapshot(w);
+    return w.blob();
+}
+
+} // namespace
+
 class OccupancyRandom : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -235,6 +376,79 @@ TEST_P(OccupancyRandom, RetiredMatchesNeverRetired)
             << "transfer " << i << " at tick " << when;
     }
     EXPECT_LT(retired.livePages(), kept.livePages());
+}
+
+TEST_P(OccupancyRandom, MatchesPerWindowReference)
+{
+    // Mixed traffic on a fractional-rate link (window budget not a
+    // whole number of bytes): same-tick bursts of 128 B lines (an L2
+    // flush), transfers spanning three to four 512-window pages,
+    // backfill anywhere between the floor and the clock, a mid-stream
+    // derate, snapshot round trips, and a floor that trails the
+    // clock. Every completion tick and the final snapshot must match
+    // the reference exactly.
+    Rng rng(GetParam());
+    const double rate = 0.75 + rng.nextDouble();
+    OccupancyTracker t(rate);
+    ReferenceTracker ref(rate);
+    Tick clock = 0;
+    auto check = [&](Tick when, std::uint64_t bytes, int i) {
+        ASSERT_EQ(t.occupy(when, bytes), ref.occupy(when, bytes))
+            << "op " << i << ": " << bytes << " B at tick " << when;
+    };
+    for (int i = 0; i < 1'000; ++i) {
+        if (i == 500) {
+            t.setRate(rate * 0.625);
+            ref.setRate(rate * 0.625);
+        }
+        if (i == 250 || i == 750) {
+            // A restored tracker has full windows but no skip chains.
+            const std::string blob = blobOf(t, 0);
+            SnapshotReader r(blob);
+            t.restore(r);
+        }
+        if (i % 250 == 0 && i > 0) {
+            // Backfill the whole live history from the floor up: fill
+            // runs into windows that are full with no skip entry
+            // (restored, or tipped over by the derate).
+            for (int j = 0; j < 4; ++j)
+                check(t.floor(), 256 * 1024, i);
+        }
+        const std::uint64_t kind = rng.nextBounded(16);
+        if (kind < 4) {
+            const std::uint64_t lines = 8 + rng.nextBounded(56);
+            for (std::uint64_t l = 0; l < lines; ++l)
+                check(clock, 128, i);
+        } else if (kind == 4) {
+            const double page_bytes = 512.0 * ref.windowBytes();
+            check(clock,
+                  static_cast<std::uint64_t>(3.0 * page_bytes) +
+                      rng.nextBounded(static_cast<std::uint64_t>(
+                          page_bytes)),
+                  i);
+        } else if (kind < 9) {
+            // Half near the frontier, half anywhere above the floor.
+            const Tick span = clock - t.floor();
+            const Tick back = rng.nextBounded(2) == 0
+                                  ? span
+                                  : std::min<Tick>(span, 2'000'000);
+            const Tick when = clock - rng.nextBounded(back + 1);
+            check(when, 1 + rng.nextBounded(8'192), i);
+        } else {
+            check(clock, 1 + rng.nextBounded(32'768), i);
+        }
+        if (HasFatalFailure())
+            return;
+        clock += rng.nextBounded(16) == 0 ? rng.nextBounded(4'000'000)
+                                          : rng.nextBounded(400'000);
+        if (i % 32 == 31) {
+            const Tick mark = clock - rng.nextBounded(clock / 2 + 1);
+            t.retireBefore(mark);
+            ref.retireBefore(mark);
+        }
+    }
+    EXPECT_EQ(blobOf(t, 0), blobOf(ref, 0));
+    EXPECT_EQ(blobOf(t, clock), blobOf(ref, clock));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OccupancyRandom,
