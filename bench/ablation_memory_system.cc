@@ -17,8 +17,6 @@
 
 #include <algorithm>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "mem/hbm_subsystem.hh"
 #include "soc/package.hh"
@@ -220,31 +218,11 @@ report(const bench::SweepArgs &args)
         "dramatically across EHPv3 -> EHPv4 -> MI300A");
 }
 
-void
-BM_ReuseStream(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    Package pkg(&root, "bm", mi300aConfig());
-    Tick t = 0;
-    Addr a = 0;
-    for (auto _ : state) {
-        t = pkg.memAccessFrom(pkg.xcdNode(0), t, a % (1u << 20), 256,
-                              false)
-                .complete;
-        a += 256;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_ReuseStream);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

@@ -20,8 +20,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
 #include "fault/fault_injector.hh"
@@ -268,39 +266,11 @@ report(const bench::SweepArgs &args)
         "112/128 with 16 channels dark");
 }
 
-void
-BM_FaultedAllReduce(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    auto quad = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    CommGroup group(quad.get(), "comm", quad->network(),
-                    quad->deviceRanks(), &eq, params);
-    fault::FaultPlan plan;
-    plan.seed = kSeed;
-    plan.chunk_error_rate = 0.01;
-    fault::FaultInjector inj(quad.get(), "inj", plan, &eq);
-    inj.attachCommGroup(&group);
-    inj.arm();
-    for (auto _ : state) {
-        auto op = group.allReduce(eq.curTick(), 4 * MiB,
-                                  Algorithm::ring);
-        group.waitAll();
-        benchmark::DoNotOptimize(op->finishTick());
-    }
-}
-BENCHMARK(BM_FaultedAllReduce);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

@@ -7,15 +7,16 @@
  * followed by a
  *   [paper_shape_check] <figure>: PASS/FAIL - <explanation>
  * line stating whether the qualitative shape of the paper's result
- * holds, and then runs its google-benchmark microbenchmarks.
+ * holds.
  *
  * Sweep-shaped benches additionally split their configurations into
  * independent SweepCase jobs and run them through sweep::SweepRunner
  * (see runCases()). Such benches accept
  *   --jobs N       worker-pool size (default 1)
  *   --json FILE    write the ehpsim-sweep-v1 JSON document to FILE
- * before the google-benchmark flags; rows print in case order, so
- * text and JSON output are byte-identical for any --jobs value.
+ * and the other benches take no flags; anything else exits 2. Rows
+ * print in case order, so text and JSON output are byte-identical
+ * for any --jobs value.
  */
 
 #ifndef EHPSIM_BENCH_BENCH_UTIL_HH
@@ -23,12 +24,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "sim/units.hh"
 #include "sweep/sweep_runner.hh"
 
 namespace ehpsim
@@ -112,39 +114,54 @@ struct SweepArgs
     std::string json_path;
 };
 
-/**
- * Strip --jobs/--json from argv (so google-benchmark never sees
- * them) and return them. Leaves all other arguments in place.
- */
+[[noreturn]] inline void
+badFlag(const char *argv0, const std::string &msg)
+{
+    std::fprintf(stderr, "%s: %s\n", argv0, msg.c_str());
+    std::exit(2);
+}
+
+/** Parse --jobs N and --json FILE; anything else exits 2. */
 inline SweepArgs
-parseSweepArgs(int &argc, char **argv)
+parseSweepArgs(int argc, char **argv)
 {
     SweepArgs args;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
+    for (int i = 1; i < argc; i += 2) {
         const std::string arg = argv[i];
-        if ((arg == "--jobs" || arg == "--json") && i + 1 < argc) {
-            const std::string val = argv[++i];
-            if (arg == "--jobs")
-                args.jobs = static_cast<unsigned>(
-                    std::strtoul(val.c_str(), nullptr, 10));
-            else
-                args.json_path = val;
-        } else {
-            argv[out++] = argv[i];
+        if ((arg != "--jobs" && arg != "--json") || i + 1 >= argc)
+            badFlag(argv[0], "bad flag '" + arg +
+                                 "' (want --jobs N, --json FILE)");
+        if (arg == "--json") {
+            args.json_path = argv[i + 1];
+            continue;
+        }
+        try {
+            args.jobs =
+                static_cast<unsigned>(parseUnsigned(argv[i + 1], ~0u));
+            if (args.jobs == 0)
+                throw std::out_of_range("'0' is below the minimum 1");
+        } catch (const std::logic_error &e) {
+            badFlag(argv[0], std::string("--jobs: ") + e.what());
         }
     }
-    argc = out;
-    if (args.jobs == 0)
-        args.jobs = 1;
     return args;
+}
+
+/** For the benches that take no flags: any argument exits 2. */
+inline void
+parseNoFlags(int argc, char **argv)
+{
+    if (argc > 1)
+        badFlag(argv[0], "unknown flag '" + std::string(argv[1]) +
+                             "' (this bench takes no flags)");
 }
 
 /**
  * Run @p cases through a SweepRunner with @p args.jobs workers.
  * Rows are printed in case order (never completion order), the
- * ehpsim-sweep-v1 JSON document is written when --json was given,
- * and the outcomes are returned for shape checks.
+ * ehpsim-sweep-v1 JSON document is written when --json was given
+ * (exit 1 when it cannot be), and the outcomes are returned for
+ * shape checks.
  */
 inline std::vector<CaseOutcome>
 runCases(const std::string &figure, std::vector<SweepCase> cases,
@@ -192,21 +209,9 @@ runCases(const std::string &figure, std::vector<SweepCase> cases,
             printRow(figure, r.series, r.x, r.value, r.unit);
     }
 
-    if (!args.json_path.empty()) {
-        std::ofstream out(args.json_path);
-        if (!out) {
-            std::fprintf(stderr, "[sweep] %s: cannot open %s for "
-                         "writing\n", figure.c_str(),
-                         args.json_path.c_str());
-            std::exit(1);
-        }
-        sweep::SweepRunner::dumpJson(out, figure, results);
-        std::printf("[sweep] %s: %zu cases on %u workers, "
-                    "%.3f s of job time; JSON -> %s\n",
-                    figure.c_str(), results.size(), runner.workers(),
-                    sweep::SweepRunner::totalJobSeconds(results),
-                    args.json_path.c_str());
-    }
+    if (!args.json_path.empty() &&
+        !runner.writeJson(figure, figure, results, args.json_path))
+        std::exit(1);
     return outcomes;
 }
 

@@ -8,8 +8,6 @@
  * power-delivery ratings (1.5 A/mm^2 TSV grid + 0.5 A/mm^2 bumps).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "geom/power_delivery.hh"
@@ -181,34 +179,12 @@ report()
     delete model;
 }
 
-void
-BM_ThermalSolve(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    const auto plan =
-        soc::buildPackageFloorplan(soc::mi300aConfig());
-    PowerModel *model = PowerModel::makeMi300a(&root);
-    PowerGovernor gov(&root, "gov", model);
-    const auto alloc =
-        gov.allocateForDistribution(computeIntensiveDistribution());
-    const auto watts =
-        soc::regionPowerVector(plan, alloc.perDomain(*model));
-    ThermalGrid grid(&root, "thermal", &plan);
-    for (auto _ : state) {
-        unsigned iters = grid.solve(watts);
-        benchmark::DoNotOptimize(iters);
-    }
-    delete model;
-}
-BENCHMARK(BM_ThermalSolve);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -11,8 +11,6 @@
  * parallelizes with --jobs N and exports JSON with --json FILE.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "workloads/generators.hh"
@@ -119,29 +117,11 @@ report(const bench::SweepArgs &args)
         "kernel scales with cooperating XCDs");
 }
 
-void
-BM_Dispatch(benchmark::State &state)
-{
-    ApuSystem sys(soc::mi300aConfig());
-    auto *part = sys.package().unifiedPartition();
-    Tick t = 0;
-    for (auto _ : state) {
-        auto pkt = makeKernel(24);
-        const auto res = part->dispatch(t, pkt);
-        t = res.complete;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_Dispatch);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

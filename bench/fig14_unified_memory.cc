@@ -10,8 +10,6 @@
  * (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/machine_model.hh"
 #include "core/roofline.hh"
@@ -128,26 +126,11 @@ report(const bench::SweepArgs &args)
         "(tens of GB/s) while the APU touches HBM directly");
 }
 
-void
-BM_RooflineRun(benchmark::State &state)
-{
-    const RooflineEngine apu(mi300aModel());
-    const auto w = initKernelPost(256u << 20);
-    for (auto _ : state) {
-        auto rep = apu.run(w);
-        benchmark::DoNotOptimize(rep.total_s);
-    }
-}
-BENCHMARK(BM_RooflineRun);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

@@ -11,8 +11,6 @@
  * SweepCases (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/apu_system.hh"
 #include "workloads/generators.hh"
@@ -169,32 +167,11 @@ report(const bench::SweepArgs &args)
         "quadrants");
 }
 
-void
-BM_PartitionDispatch(benchmark::State &state)
-{
-    ApuSystem sys(soc::mi300xConfig());
-    auto parts = sys.package().partitionInto(8);
-    Tick t = 0;
-    hsa::AqlPacket pkt;
-    pkt.grid_workgroups = 38;
-    pkt.work.flops = 256 * 1000;
-    pkt.work.dtype = gpu::DataType::fp32;
-    for (auto _ : state) {
-        const auto res = parts[0]->dispatch(t, pkt);
-        t = res.complete;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_PartitionDispatch);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

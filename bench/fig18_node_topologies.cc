@@ -18,8 +18,6 @@
 
 #include <cmath>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
 #include "soc/node_topology.hh"
@@ -192,27 +190,11 @@ report(const bench::SweepArgs &args)
         "the ring bound and direct wins on the dedicated links");
 }
 
-void
-BM_AllToAll(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    auto quad = NodeTopology::mi300aQuadNode(&root);
-    Tick t = 0;
-    for (auto _ : state) {
-        t = quad->allToAll(t, 1u << 20);
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_AllToAll);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

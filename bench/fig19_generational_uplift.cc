@@ -6,8 +6,6 @@
  * I/O bandwidth (2x).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "soc/package.hh"
 
@@ -100,24 +98,12 @@ report()
         "+70%, MI300X capacity +50%, I/O bandwidth 2x, 228/304 CUs");
 }
 
-void
-BM_BuildPackage(benchmark::State &state)
-{
-    for (auto _ : state) {
-        SimObject root(nullptr, "root");
-        Package pkg(&root, "p", mi300aConfig());
-        benchmark::DoNotOptimize(pkg.totalCus());
-    }
-}
-BENCHMARK(BM_BuildPackage);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -7,8 +7,6 @@
  * eliminated by unified memory).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "core/machine_model.hh"
 #include "core/roofline.hh"
@@ -75,25 +73,12 @@ report()
         "tracks the 1.7x bandwidth uplift");
 }
 
-void
-BM_CfdRoofline(benchmark::State &state)
-{
-    const RooflineEngine apu(mi300aModel());
-    const auto w = cfdSolver(1'000'000, 5);
-    for (auto _ : state) {
-        auto rep = apu.run(w);
-        benchmark::DoNotOptimize(rep.total_s);
-    }
-}
-BENCHMARK(BM_CfdRoofline);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

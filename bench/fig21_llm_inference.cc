@@ -21,8 +21,6 @@
  * independent SweepCase (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
 #include "core/machine_model.hh"
@@ -233,27 +231,11 @@ report(const bench::SweepArgs &args)
         "growing all-reduce share");
 }
 
-void
-BM_LlmRoofline(benchmark::State &state)
-{
-    const RooflineEngine eng(mi300xModel());
-    LlmConfig cfg;
-    const auto w = llmInference(cfg);
-    for (auto _ : state) {
-        auto rep = eng.run(w);
-        benchmark::DoNotOptimize(rep.total_s);
-    }
-}
-BENCHMARK(BM_LlmRoofline);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

@@ -12,8 +12,6 @@
 
 #include <algorithm>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "geom/floorplan.hh"
 #include "soc/floorplan_builder.hh"
@@ -137,28 +135,12 @@ report()
         "three with the purpose-built IOD + USR links");
 }
 
-void
-BM_CpuLoad(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    Package ehp(&root, "ehpv4", ehpv4Config());
-    Tick t = 0;
-    for (auto _ : state) {
-        auto r = ehp.memAccessFrom(ehp.ccdNode(0), t, 4096, 64,
-                                   false);
-        t = r.complete;
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_CpuLoad);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

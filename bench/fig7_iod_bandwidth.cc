@@ -6,8 +6,6 @@
  * IODs, and 64 GB/s per direction per x16 link.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "soc/package.hh"
 
@@ -128,28 +126,12 @@ report()
         "x16 delivers ~64 GB/s per direction");
 }
 
-void
-BM_PackageStream(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    Package pkg(&root, "bm", mi300aConfig());
-    Tick t = 0;
-    Addr a = 0;
-    for (auto _ : state) {
-        auto r = pkg.memAccessFrom(pkg.xcdNode(0), t, a, 256, false);
-        benchmark::DoNotOptimize(r.complete);
-        a += 256;
-    }
-}
-BENCHMARK(BM_PackageStream);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -5,8 +5,6 @@
  * instances, and quantifies the redundancy overhead.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "geom/alignment.hh"
 
@@ -91,26 +89,12 @@ report()
         "with mirror-redundant TSVs (overhead < 2x sites)");
 }
 
-void
-BM_AlignmentCheck(benchmark::State &state)
-{
-    const auto xcd = makeXcd();
-    const auto plan = makeIod(true);
-    for (auto _ : state) {
-        auto res = plan.checkStackAlignment(xcd, Orient::r0, 2.0, 3.0,
-                                            Orient::mirrored);
-        benchmark::DoNotOptimize(res.aligned);
-    }
-}
-BENCHMARK(BM_AlignmentCheck);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

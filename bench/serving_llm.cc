@@ -23,8 +23,6 @@
  * (--jobs N, --json FILE).
  */
 
-#include <benchmark/benchmark.h>
-
 #include <string>
 #include <vector>
 
@@ -218,29 +216,11 @@ report(const bench::SweepArgs &args)
         "retries and dark channels yet every request completes");
 }
 
-void
-BM_ServingScenario(benchmark::State &state)
-{
-    for (auto _ : state) {
-        ScenarioParams p;
-        p.num_requests = 4;
-        p.input_tokens = 128;
-        p.output_tokens = 16;
-        p.load_rps = 4.0;
-        const auto r = runServingScenario(p);
-        benchmark::DoNotOptimize(r.completed);
-    }
-}
-BENCHMARK(BM_ServingScenario);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    const auto sweep_args = bench::parseSweepArgs(argc, argv);
-    report(sweep_args);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
+    report(bench::parseSweepArgs(argc, argv));
     return 0;
 }

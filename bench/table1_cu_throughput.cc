@@ -9,8 +9,6 @@
  * this checks the executable model, not just the table constants.
  */
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.hh"
 #include "gpu/compute_unit.hh"
 
@@ -111,32 +109,12 @@ report()
                       "doubles FP8/INT8 to 8192");
 }
 
-void
-BM_MatrixWorkgroup(benchmark::State &state)
-{
-    SimObject root(nullptr, "root");
-    FlatMemory memory(&root);
-    ComputeUnit cu(&root, "cu", cdna3CuParams(), &memory, nullptr);
-    WorkgroupWork work;
-    work.flops = 2048 * 1024;
-    work.dtype = DataType::fp16;
-    work.pipe = Pipe::matrix;
-    work.inst_bytes = 0;
-    Tick t = 0;
-    for (auto _ : state) {
-        t = cu.runWorkgroup(t, work);
-        benchmark::DoNotOptimize(t);
-    }
-}
-BENCHMARK(BM_MatrixWorkgroup);
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
+    bench::parseNoFlags(argc, argv);
     report();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -1,43 +1,15 @@
 /**
  * @file
  * ehpsim command-line driver: pick a product, a workload, an engine,
- * and run it — or sweep a whole configuration matrix in parallel.
+ * and run it — or sweep a whole configuration matrix in parallel
+ * with the sweep, comm, fault, serve, and race subcommands.
  *
- *   ehpsim_cli [--product mi300a|mi300x|mi250x|ehpv3|ehpv4]
- *              [--workload triad|gemm|nbody|hpcg|cfd|gromacs|llm]
- *              [--engine event|roofline]
- *              [--partitions N] [--policy rr|blocked] [--nps 1|4]
- *              [--scale N] [--trace out.json] [--stats]
- *
- *   ehpsim_cli sweep [--products a,b,...] [--workloads x,y,...]
- *              [--engine event|roofline] [--jobs N] [--json FILE]
- *              [--scale N] [--stats]
- *
- *   ehpsim_cli comm [--topology quad|octo]
- *              [--collective all_reduce|all_gather|reduce_scatter|
- *               broadcast|all_to_all]
- *              [--algos ring,direct,auto] [--sizes 1M,16M,64M]
- *              [--warmup N] [--warmup-bytes SIZE] [--fork]
- *              [--checkpoint FILE]
- *              [--pdes N] [--jobs N] [--json FILE]
- *
- *   ehpsim_cli fault [--topology quad|octo] [--collective C]
- *              [--algos ring,direct] [--sizes 1M,16M,64M]
- *              [--rates 0,0.005,0.02] [--seed N]
- *              [--kill a:b@tick[*factor]] [--max-retries N]
- *              [--retry-timeout TICKS] [--pdes N] [--jobs N]
- *              [--json FILE]
- *
- *   ehpsim_cli serve [--devices mi300x,baseline] [--loads 0.25,1.0]
- *              [--tp 1|2|4|8] [--requests N] [--input-tokens N]
- *              [--output-tokens N] [--seed N] [--bursty]
- *              [--token-budget N] [--max-batch N] [--kv-blocks N]
- *              [--error-rate R] [--kill a:b@tick[*factor]]
- *              [--blackout ch@tick] [--pdes N] [--checkpoint-at T]
- *              [--jobs N] [--json FILE]
- *
- *   ehpsim_cli race [--bytes SIZE] [--requests N] [--seed N]
- *              [--jobs N] [--json FILE]
+ * Each subcommand's flags are one table below (runFlags(),
+ * sweepFlags(), ...). The parser and usage() both read the tables,
+ * so any unknown flag prints the full synopsis. Every number is
+ * parsed strictly (the whole value, in range for its field, no sign
+ * on an unsigned one): a bad flag or value exits 2 with a message
+ * naming the flag. A failed job or an unwritable --json FILE exits 1.
  *
  * The sweep subcommand runs the products x workloads cross product
  * as independent jobs on a sweep::SweepRunner worker pool and emits
@@ -108,14 +80,20 @@
  *       --kill mi300x0:mi300x1@2000000000000 --blackout 3@3000000000000
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "comm/comm_group.hh"
@@ -131,6 +109,7 @@
 #include "sim/pdes/pdes_engine.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
+#include "sim/units.hh"
 #include "soc/node_topology.hh"
 #include "sweep/sweep_runner.hh"
 #include "workloads/generators.hh"
@@ -142,97 +121,442 @@ using namespace ehpsim::workloads;
 namespace
 {
 
-struct Options
+// ---------------------------------------------------------------------
+// Flag tables
+// ---------------------------------------------------------------------
+
+/** Stores one flag's value; throws std::logic_error on a bad one. */
+using Setter = std::function<void(const std::string &)>;
+
+/** One row of a subcommand's flag table. */
+struct Flag
+{
+    const char *name;
+    /** The value's placeholder in usage(); nullptr for a switch. */
+    const char *value;
+    Setter set;
+    /** False keeps the flag out of usage(). */
+    bool listed = true;
+};
+
+std::vector<std::string>
+splitList(const std::string &csv)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(csv);
+    std::string item;
+    while (std::getline(ss, item, ',')) {
+        if (!item.empty())
+            out.push_back(item);
+    }
+    return out;
+}
+
+Setter
+text(std::string &field)
+{
+    return [&field](const std::string &v) { field = v; };
+}
+
+Setter
+on(bool &field)
+{
+    return [&field](const std::string &) { field = true; };
+}
+
+/** A comma-separated list; @p check (if set) vets every item. */
+Setter
+list(std::vector<std::string> &field,
+     std::function<void(const std::string &)> check = {})
+{
+    return [&field, check = std::move(check)](const std::string &v) {
+        auto items = splitList(v);
+        if (check) {
+            for (const auto &item : items)
+                check(item);
+        }
+        field = std::move(items);
+    };
+}
+
+/** A number of @p field's type, no smaller than @p min. */
+template <typename T>
+Setter
+number(T &field, T min = std::numeric_limits<T>::lowest())
+{
+    return [&field, min](const std::string &v) {
+        T value;
+        if constexpr (std::is_floating_point_v<T>)
+            value = parseDouble(v);
+        else
+            value = static_cast<T>(
+                parseUnsigned(v, std::numeric_limits<T>::max()));
+        if (value < min)
+            throw std::out_of_range("'" + v + "' is below the minimum " +
+                                    std::to_string(min));
+        field = value;
+    };
+}
+
+/** One of the @p allowed spellings, stored as given. */
+Setter
+oneOf(std::string &field, std::vector<std::string> allowed)
+{
+    return [&field, allowed = std::move(allowed)](const std::string &v) {
+        if (std::find(allowed.begin(), allowed.end(), v) ==
+            allowed.end()) {
+            std::string names;
+            for (const auto &a : allowed)
+                names += (names.empty() ? "" : ", ") + a;
+            throw std::invalid_argument("unknown value '" + v +
+                                        "' (want one of " + names + ")");
+        }
+        field = v;
+    };
+}
+
+[[noreturn]] void usage(const char *argv0);
+
+/**
+ * Apply argv[first..argc) to @p flags. An unknown flag or a missing
+ * value prints usage() and exits 2; a value its setter rejects
+ * throws std::invalid_argument naming the flag (main() exits 2).
+ */
+void
+parseFlags(int argc, char **argv, int first,
+           const std::vector<Flag> &flags)
+{
+    for (int i = first; i < argc; ++i) {
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(), [&](const Flag &f) {
+                return std::strcmp(f.name, argv[i]) == 0;
+            });
+        if (flag == flags.end()) {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0],
+                         argv[i]);
+            usage(argv[0]);
+        }
+        if (flag->value && i + 1 >= argc) {
+            std::fprintf(stderr, "%s: %s needs a value\n", argv[0],
+                         flag->name);
+            usage(argv[0]);
+        }
+        try {
+            flag->set(flag->value ? argv[++i] : "");
+        } catch (const std::logic_error &e) {
+            throw std::invalid_argument(std::string(flag->name) + ": " +
+                                        e.what());
+        }
+    }
+}
+
+/** Print one synopsis entry per listed flag, wrapped at 79 columns. */
+void
+printSynopsis(std::string line, const std::vector<Flag> &flags)
+{
+    for (const auto &f : flags) {
+        if (!f.listed)
+            continue;
+        std::string item = std::string(" [") + f.name;
+        if (f.value)
+            item += std::string(" ") + f.value;
+        item += "]";
+        if (line.size() + item.size() > 79) {
+            std::fprintf(stderr, "%s\n", line.c_str());
+            line = std::string(9, ' ');
+        }
+        line += item;
+    }
+    std::fprintf(stderr, "%s\n", line.c_str());
+}
+
+// ---------------------------------------------------------------------
+// Subcommand options and their tables
+// ---------------------------------------------------------------------
+
+/** The top-level single run. */
+struct RunOptions
 {
     std::string product = "mi300a";
     std::string workload = "triad";
     std::string engine = "event";
     unsigned partitions = 1;
     std::string policy = "rr";
-    unsigned nps = 1;
+    std::string nps = "1";
     std::uint64_t scale = 1;
     std::string trace_path;
     bool dump_stats = false;
 };
 
+std::vector<Flag>
+runFlags(RunOptions &o)
+{
+    return {
+        {"--product", "P", text(o.product)},
+        {"--workload", "W", text(o.workload)},
+        {"--engine", "event|roofline", oneOf(o.engine, {"event", "roofline"})},
+        {"--partitions", "N", number(o.partitions)},
+        {"--policy", "rr|blocked", oneOf(o.policy, {"rr", "blocked"})},
+        {"--nps", "1|4", oneOf(o.nps, {"1", "4"})},
+        {"--scale", "N", number(o.scale)},
+        {"--trace", "FILE", text(o.trace_path)},
+        {"--stats", nullptr, on(o.dump_stats)},
+    };
+}
+
+/** A products x workloads matrix of top-level runs. */
+struct SweepOptions
+{
+    std::vector<std::string> products = {"mi300a", "mi300x", "mi250x"};
+    std::vector<std::string> workloads = {"triad"};
+    RunOptions run;
+    unsigned jobs = 1;
+    std::string json_path;
+};
+
+std::vector<Flag>
+sweepFlags(SweepOptions &o)
+{
+    return {
+        {"--products", "a,b,...", list(o.products)},
+        {"--workloads", "x,y,...", list(o.workloads)},
+        {"--engine", "event|roofline",
+         oneOf(o.run.engine, {"event", "roofline"})},
+        {"--scale", "N", number(o.run.scale)},
+        {"--stats", nullptr, on(o.run.dump_stats)},
+        {"--jobs", "N", number(o.jobs, 1u)},
+        {"--json", "FILE", text(o.json_path)},
+        // Refused, not ignored: a user passing it expects a speedup
+        // that sweep's single-partition jobs cannot give.
+        {"--pdes", nullptr,
+         [](const std::string &) {
+             std::fprintf(stderr,
+                          "sweep: --pdes is not supported: sweep "
+                          "jobs are independent single-partition "
+                          "sims with no cross-partition traffic to "
+                          "parallelize; use --jobs N to run points "
+                          "concurrently (comm, fault, and serve do "
+                          "accept --pdes)\n");
+             std::exit(2);
+         },
+         false},
+    };
+}
+
+comm::Collective
+collectiveFor(const std::string &name)
+{
+    for (const auto c :
+         {comm::Collective::allReduce, comm::Collective::allGather,
+          comm::Collective::reduceScatter,
+          comm::Collective::broadcast, comm::Collective::allToAll}) {
+        if (name == comm::collectiveName(c))
+            return c;
+    }
+    throw std::invalid_argument(
+        "unknown collective '" + name +
+        "' (all_reduce, all_gather, reduce_scatter, broadcast, "
+        "all_to_all)");
+}
+
+comm::Algorithm
+algorithmFor(const std::string &name)
+{
+    for (const auto a :
+         {comm::Algorithm::automatic, comm::Algorithm::ring,
+          comm::Algorithm::direct}) {
+        if (name == comm::algorithmName(a))
+            return a;
+    }
+    throw std::invalid_argument("unknown algorithm '" + name +
+                                "' (ring, direct, auto)");
+}
+
+struct CommOptions
+{
+    std::string topology = "quad";
+    std::string collective = "all_reduce";
+    std::vector<std::string> algos = {"ring", "direct"};
+    std::vector<std::string> sizes = {"1M", "16M", "64M"};
+    unsigned warmup = 0;
+    std::uint64_t warmup_bytes = 16 * MiB;
+    bool fork = false;
+    std::string checkpoint_path;
+    unsigned pdes = 0;
+    unsigned jobs = 1;
+    std::string json_path;
+};
+
+std::vector<Flag>
+commFlags(CommOptions &o)
+{
+    return {
+        {"--topology", "quad|octo", oneOf(o.topology, {"quad", "octo"})},
+        {"--collective", "C",
+         [&o](const std::string &v) {
+             collectiveFor(v);
+             o.collective = v;
+         }},
+        {"--algos", "a,b,...", list(o.algos, algorithmFor)},
+        {"--sizes", "1M,64M,...", list(o.sizes, parseSize)},
+        {"--warmup", "N", number(o.warmup)},
+        {"--warmup-bytes", "SIZE",
+         [&o](const std::string &v) { o.warmup_bytes = parseSize(v); }},
+        {"--fork", nullptr, on(o.fork)},
+        {"--checkpoint", "FILE", text(o.checkpoint_path)},
+        {"--pdes", "N", number(o.pdes)},
+        {"--jobs", "N", number(o.jobs, 1u)},
+        {"--json", "FILE", text(o.json_path)},
+    };
+}
+
+struct FaultOptions
+{
+    std::string topology = "octo";
+    std::string collective = "all_reduce";
+    std::vector<std::string> algos = {"ring", "direct"};
+    std::vector<std::string> sizes = {"64M"};
+    std::vector<std::string> rates = {"0", "0.005", "0.02"};
+    std::uint64_t seed = 1;
+    std::vector<fault::LinkFault> kills;
+    // See ablation_resilience: a timeout-based retransmit has to
+    // cover the per-link chunk backlog to detect loss at all.
+    comm::CommParams params{.retry_timeout = 200'000'000};  // 200 us
+    unsigned pdes = 0;
+    unsigned jobs = 1;
+    std::string json_path;
+};
+
+std::vector<Flag>
+faultFlags(FaultOptions &o)
+{
+    return {
+        {"--topology", "quad|octo", oneOf(o.topology, {"quad", "octo"})},
+        {"--collective", "C",
+         [&o](const std::string &v) {
+             collectiveFor(v);
+             o.collective = v;
+         }},
+        {"--algos", "a,b,...", list(o.algos, algorithmFor)},
+        {"--sizes", "1M,...", list(o.sizes, parseSize)},
+        {"--rates", "0,0.02,...", list(o.rates, parseDouble)},
+        {"--seed", "N", number(o.seed)},
+        {"--kill", "a:b@tick[*factor]",
+         [&o](const std::string &v) {
+             o.kills.push_back(fault::parseLinkFault(v));
+         }},
+        {"--max-retries", "N", number(o.params.max_retries)},
+        {"--retry-timeout", "TICKS", number(o.params.retry_timeout)},
+        {"--pdes", "N", number(o.pdes)},
+        {"--jobs", "N", number(o.jobs, 1u)},
+        {"--json", "FILE", text(o.json_path)},
+    };
+}
+
+struct ServeOptions
+{
+    std::vector<std::string> devices = {"mi300x", "baseline"};
+    std::vector<std::string> loads = {"0.25", "1.0"};
+    serve::ScenarioParams base;
+    unsigned jobs = 1;
+    std::string json_path;
+};
+
+std::vector<Flag>
+serveFlags(ServeOptions &o)
+{
+    serve::ScenarioParams &p = o.base;
+    return {
+        {"--devices", "a,b", list(o.devices)},
+        {"--loads", "r,s,...", list(o.loads, parseDouble)},
+        {"--tp", "N", number(p.tp)},
+        {"--requests", "N", number(p.num_requests)},
+        {"--input-tokens", "N", number(p.input_tokens)},
+        {"--output-tokens", "N", number(p.output_tokens)},
+        {"--seed", "N", number(p.seed)},
+        {"--bursty", nullptr, on(p.bursty)},
+        {"--token-budget", "N", number(p.token_budget)},
+        {"--max-batch", "N", number(p.max_batch)},
+        {"--kv-blocks", "N", number(p.kv_blocks_override)},
+        {"--error-rate", "R", number(p.faults.chunk_error_rate)},
+        {"--kill", "a:b@tick[*factor]",
+         [&p](const std::string &v) {
+             p.faults.link_faults.push_back(fault::parseLinkFault(v));
+         }},
+        {"--blackout", "ch@tick",
+         [&p](const std::string &v) {
+             p.faults.channel_faults.push_back(
+                 fault::parseChannelFault(v));
+         }},
+        {"--pdes", "N", number(p.pdes)},
+        {"--checkpoint-at", "T", number(p.checkpoint_at)},
+        {"--jobs", "N", number(o.jobs, 1u)},
+        {"--json", "FILE", text(o.json_path)},
+    };
+}
+
+struct RaceOptions
+{
+    std::uint64_t bytes = 4 * MiB;
+    unsigned requests = 8;
+    std::uint64_t seed = 42;
+    unsigned jobs = 1;
+    std::string json_path;
+};
+
+std::vector<Flag>
+raceFlags(RaceOptions &o)
+{
+    return {
+        {"--bytes", "SIZE",
+         [&o](const std::string &v) { o.bytes = parseSize(v); }},
+        {"--requests", "N", number(o.requests)},
+        {"--seed", "N", number(o.seed)},
+        {"--jobs", "N", number(o.jobs, 1u)},
+        {"--json", "FILE", text(o.json_path)},
+    };
+}
+
 [[noreturn]] void
 usage(const char *argv0)
 {
-    std::fprintf(stderr,
-                 "usage: %s [--product P] [--workload W] "
-                 "[--engine event|roofline]\n"
-                 "          [--partitions N] [--policy rr|blocked] "
-                 "[--nps 1|4] [--scale N]\n"
-                 "          [--trace FILE] [--stats]\n"
-                 "       %s sweep [--products a,b,...] "
-                 "[--workloads x,y,...]\n"
-                 "          [--engine event|roofline] [--jobs N] "
-                 "[--json FILE] [--scale N] [--stats]\n"
-                 "       %s comm [--topology quad|octo] "
-                 "[--collective C] [--algos a,b,...]\n"
-                 "          [--sizes 1M,64M,...] [--warmup N] "
-                 "[--warmup-bytes SIZE]\n"
-                 "          [--fork] [--checkpoint FILE] [--pdes N] "
-                 "[--jobs N] [--json FILE]\n"
-                 "       %s fault [--topology quad|octo] "
-                 "[--collective C] [--algos a,b,...]\n"
-                 "          [--sizes 1M,...] [--rates 0,0.02,...] "
-                 "[--seed N]\n"
-                 "          [--kill a:b@tick[*factor]] "
-                 "[--max-retries N]\n"
-                 "          [--retry-timeout TICKS] [--pdes N] "
-                 "[--jobs N] [--json FILE]\n"
-                 "       %s serve [--devices a,b] [--loads r,s,...] "
-                 "[--tp N]\n"
-                 "          [--requests N] [--input-tokens N] "
-                 "[--output-tokens N]\n"
-                 "          [--seed N] [--bursty] [--token-budget N] "
-                 "[--max-batch N]\n"
-                 "          [--kv-blocks N] [--error-rate R] "
-                 "[--kill a:b@tick[*factor]]\n"
-                 "          [--blackout ch@tick] [--pdes N] "
-                 "[--checkpoint-at T] [--jobs N] [--json FILE]\n"
-                 "       %s race [--bytes SIZE] [--requests N] "
-                 "[--seed N]\n"
-                 "          [--jobs N] [--json FILE]   "
-                 "(needs -DEHPSIM_RACE=ON)\n",
-                 argv0, argv0, argv0, argv0, argv0, argv0);
+    const std::string prog = argv0;
+    const std::string more = "       " + prog + " ";
+    RunOptions run;
+    SweepOptions sweep;
+    CommOptions comm;
+    FaultOptions fault;
+    ServeOptions serve;
+    RaceOptions race;
+    printSynopsis("usage: " + prog, runFlags(run));
+    printSynopsis(more + "sweep", sweepFlags(sweep));
+    printSynopsis(more + "comm", commFlags(comm));
+    printSynopsis(more + "fault", faultFlags(fault));
+    printSynopsis(more + "serve", serveFlags(serve));
+    printSynopsis(more + "race", raceFlags(race));
+    std::fprintf(stderr, "       (race needs a -DEHPSIM_RACE=ON build)\n");
     std::exit(2);
 }
 
-Options
-parseArgs(int argc, char **argv)
+// ---------------------------------------------------------------------
+// Subcommands
+// ---------------------------------------------------------------------
+
+/**
+ * Run every job and write the document. @return the exit status: 1
+ * when a job failed or the JSON could not be written.
+ */
+int
+runAndWrite(sweep::SweepRunner &runner, const char *cmd,
+            const char *sweep_name, const std::string &json_path)
 {
-    Options opt;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--product")
-            opt.product = next();
-        else if (arg == "--workload")
-            opt.workload = next();
-        else if (arg == "--engine")
-            opt.engine = next();
-        else if (arg == "--partitions")
-            opt.partitions = std::stoul(next());
-        else if (arg == "--policy")
-            opt.policy = next();
-        else if (arg == "--nps")
-            opt.nps = std::stoul(next());
-        else if (arg == "--scale")
-            opt.scale = std::stoull(next());
-        else if (arg == "--trace")
-            opt.trace_path = next();
-        else if (arg == "--stats")
-            opt.dump_stats = true;
-        else
-            usage(argv[0]);
-    }
-    return opt;
+    const auto results = runner.run();
+    const bool written =
+        runner.writeJson(cmd, sweep_name, results, json_path);
+    const bool all_ok =
+        std::all_of(results.begin(), results.end(),
+                    [](const sweep::JobResult &r) { return r.ok; });
+    return written && all_ok ? 0 : 1;
 }
 
 soc::ProductConfig
@@ -288,41 +612,38 @@ workloadFor(const std::string &name, std::uint64_t scale)
     fatal("unknown workload '", name, "'");
 }
 
-std::vector<std::string>
-splitList(const std::string &csv)
+/**
+ * Run @p w on @p o's product through @p o's engine. The event
+ * engine's system is left in @p sys for the caller's stats dump.
+ */
+RunReport
+runWorkload(const RunOptions &o, const Workload &w,
+            std::unique_ptr<ApuSystem> &sys)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
+    if (o.engine == "roofline")
+        return RooflineEngine(modelFor(o.product)).run(w);
+    sys = std::make_unique<ApuSystem>(
+        productFor(o.product),
+        o.nps == "4" ? mem::NumaMode::nps4 : mem::NumaMode::nps1);
+    return sys->run(w, o.partitions,
+                    o.policy == "blocked"
+                        ? hsa::DistributionPolicy::blocked
+                        : hsa::DistributionPolicy::roundRobin);
 }
 
 /** Run one (product, workload) sweep job and serialize its report. */
 void
-runSweepJob(const std::string &product, const std::string &workload,
-            const std::string &engine, std::uint64_t scale,
-            bool with_stats, json::JsonWriter &jw)
+runSweepJob(const RunOptions &o, json::JsonWriter &jw)
 {
-    const auto w = workloadFor(workload, scale);
+    const auto w = workloadFor(o.workload, o.scale);
 
     jw.beginObject();
-    jw.kv("product", product);
-    jw.kv("workload", workload);
-    jw.kv("engine", engine);
+    jw.kv("product", o.product);
+    jw.kv("workload", o.workload);
+    jw.kv("engine", o.engine);
 
-    RunReport report;
     std::unique_ptr<ApuSystem> sys;
-    if (engine == "roofline") {
-        const RooflineEngine eng(modelFor(product));
-        report = eng.run(w);
-    } else {
-        sys = std::make_unique<ApuSystem>(productFor(product));
-        report = sys->run(w);
-    }
+    const RunReport report = runWorkload(o, w, sys);
 
     jw.key("phases");
     jw.beginArray();
@@ -345,7 +666,7 @@ runSweepJob(const std::string &product, const std::string &workload,
               static_cast<double>(w.totalGpuBytes()) /
                   report.total_s / 1e12);
     }
-    if (with_stats && sys) {
+    if (o.dump_stats && sys) {
         jw.key("stats");
         sys->dumpJsonStats(jw);
     }
@@ -355,153 +676,29 @@ runSweepJob(const std::string &product, const std::string &workload,
 int
 sweepMain(int argc, char **argv)
 {
-    std::vector<std::string> products = {"mi300a", "mi300x", "mi250x"};
-    std::vector<std::string> workloads = {"triad"};
-    std::string engine = "event";
-    std::string json_path;
-    unsigned jobs = 1;
-    std::uint64_t scale = 1;
-    bool with_stats = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--products")
-            products = splitList(next());
-        else if (arg == "--workloads")
-            workloads = splitList(next());
-        else if (arg == "--engine")
-            engine = next();
-        else if (arg == "--jobs")
-            jobs = std::stoul(next());
-        else if (arg == "--json")
-            json_path = next();
-        else if (arg == "--scale")
-            scale = std::stoull(next());
-        else if (arg == "--stats")
-            with_stats = true;
-        else if (arg == "--pdes") {
-            // Refused rather than silently ignored (it used to be
-            // accepted for driver symmetry): sweep jobs are
-            // independent single-partition sims with nothing for
-            // the parallel core to overlap, so a user passing the
-            // flag is expecting a speedup they will not get.
-            std::fprintf(stderr,
-                         "sweep: --pdes is not supported: sweep "
-                         "jobs are independent single-partition "
-                         "sims with no cross-partition traffic to "
-                         "parallelize; use --jobs N to run points "
-                         "concurrently (comm, fault, and serve do "
-                         "accept --pdes)\n");
-            return 2;
-        } else
-            usage(argv[0]);
-    }
-    if (products.empty() || workloads.empty() || jobs == 0)
+    SweepOptions o;
+    parseFlags(argc, argv, 2, sweepFlags(o));
+    if (o.products.empty() || o.workloads.empty())
         usage(argv[0]);
 
-    sweep::SweepRunner runner(jobs);
-    for (const auto &product : products) {
-        for (const auto &workload : workloads) {
+    sweep::SweepRunner runner(o.jobs);
+    for (const auto &product : o.products) {
+        for (const auto &workload : o.workloads) {
+            RunOptions job = o.run;
+            job.product = product;
+            job.workload = workload;
             runner.addJob(product + "/" + workload,
-                          [=](json::JsonWriter &jw) {
-                              runSweepJob(product, workload, engine,
-                                          scale, with_stats, jw);
+                          [job](json::JsonWriter &jw) {
+                              runSweepJob(job, jw);
                           });
         }
     }
-
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "sweep: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "sweep: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli", results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "sweep: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "sweep: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "sweep: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runAndWrite(runner, "sweep", "ehpsim_cli", o.json_path);
 }
 
-/** Parse "64", "4K", "16M", "1G" into bytes. */
-std::uint64_t
-parseSize(const std::string &s)
-{
-    if (s.empty())
-        fatal("empty size");
-    std::size_t pos = 0;
-    const std::uint64_t value = std::stoull(s, &pos);
-    std::uint64_t mult = 1;
-    if (pos < s.size()) {
-        const char suffix = s[pos];
-        if (suffix == 'K' || suffix == 'k')
-            mult = KiB;
-        else if (suffix == 'M' || suffix == 'm')
-            mult = MiB;
-        else if (suffix == 'G' || suffix == 'g')
-            mult = GiB;
-        else
-            fatal("bad size suffix in '", s, "'");
-    }
-    return value * mult;
-}
-
-comm::Collective
-collectiveFor(const std::string &name)
-{
-    for (const auto c :
-         {comm::Collective::allReduce, comm::Collective::allGather,
-          comm::Collective::reduceScatter,
-          comm::Collective::broadcast, comm::Collective::allToAll}) {
-        if (name == comm::collectiveName(c))
-            return c;
-    }
-    fatal("unknown collective '", name, "'");
-}
-
-comm::Algorithm
-algorithmFor(const std::string &name)
-{
-    for (const auto a :
-         {comm::Algorithm::automatic, comm::Algorithm::ring,
-          comm::Algorithm::direct}) {
-        if (name == comm::algorithmName(a))
-            return a;
-    }
-    fatal("unknown algorithm '", name, "' (ring, direct, auto)");
-}
-
-/** The comm microbench world, built in one fixed order so a forked
- *  job can rebuild it identically around a warmup checkpoint. */
+/** The comm and fault microbench world, built in one fixed order so
+ *  a forked job can rebuild it identically around a warmup
+ *  checkpoint. */
 struct CommBenchWorld
 {
     SimObject root{nullptr, "root"};
@@ -509,13 +706,14 @@ struct CommBenchWorld
     EventQueue eq;
     std::unique_ptr<comm::CommGroup> group;
 
-    explicit CommBenchWorld(const std::string &topology)
+    /** @p params with 1 MiB chunks, on the quad or octo node. */
+    explicit CommBenchWorld(const std::string &topology,
+                            comm::CommParams params = {})
     {
+        params.chunk_bytes = 1 * MiB;
         topo = topology == "quad"
                    ? soc::NodeTopology::mi300aQuadNode(&root)
                    : soc::NodeTopology::mi300xOctoNode(&root);
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
         group = std::make_unique<comm::CommGroup>(
             topo.get(), "comm", topo->network(), topo->deviceRanks(),
             &eq, params);
@@ -531,95 +729,105 @@ struct CommBenchWorld
             group->waitAll();
         }
     }
+
+    /**
+     * Run @p n_warmup warmup all-reduces, then one @p coll of
+     * @p bytes per rank to completion; on @p pdes conservative
+     * partitions when pdes > 0. Scheduled link kills land on the
+     * coordinator queue and bump the route epoch; the engine
+     * collapses partition groups at the next window boundary, so a
+     * faulted schedule is byte-identical to the serial run's.
+     */
+    comm::OpHandle
+    run(comm::Collective coll, comm::Algorithm algo, std::uint64_t bytes,
+        unsigned pdes, unsigned n_warmup = 0,
+        std::uint64_t warmup_bytes = 0)
+    {
+        std::unique_ptr<pdes::PdesEngine> engine;
+        if (pdes > 0) {
+            engine = std::make_unique<pdes::PdesEngine>(
+                &eq, topo->network(), pdes);
+            group->attachPdes(engine.get());
+        }
+        warmup(n_warmup, warmup_bytes);
+
+        comm::OpHandle op;
+        switch (coll) {
+          case comm::Collective::allReduce:
+            op = group->allReduce(0, bytes, algo);
+            break;
+          case comm::Collective::allGather:
+            op = group->allGather(0, bytes, algo);
+            break;
+          case comm::Collective::reduceScatter:
+            op = group->reduceScatter(0, bytes, algo);
+            break;
+          case comm::Collective::broadcast:
+            op = group->broadcast(0, 0, bytes, algo);
+            break;
+          default:
+            op = group->allToAll(0, bytes, algo);
+            break;
+        }
+        group->waitAll();
+        if (engine)
+            group->attachPdes(nullptr);
+        return op;
+    }
 };
 
 /**
  * The shared warmup prefix of a forked comm sweep: load the blob
- * from @p checkpoint_path when the file exists, otherwise simulate
+ * from --checkpoint FILE when the file exists, otherwise simulate
  * the warmup once (and save it there for the next run when a path
  * was given).
  */
 std::string
-commWarmupBlob(const std::string &topology, unsigned warmup,
-               std::uint64_t warmup_bytes,
-               const std::string &checkpoint_path)
+commWarmupBlob(const CommOptions &o)
 {
-    if (!checkpoint_path.empty()) {
-        std::ifstream probe(checkpoint_path, std::ios::binary);
+    if (!o.checkpoint_path.empty()) {
+        std::ifstream probe(o.checkpoint_path, std::ios::binary);
         if (probe.good()) {
             std::fprintf(stderr,
                          "comm: loading warmup checkpoint from %s\n",
-                         checkpoint_path.c_str());
-            return readSnapshotFile(checkpoint_path);
+                         o.checkpoint_path.c_str());
+            return readSnapshotFile(o.checkpoint_path);
         }
     }
-    CommBenchWorld w(topology);
-    w.warmup(warmup, warmup_bytes);
+    CommBenchWorld w(o.topology);
+    w.warmup(o.warmup, o.warmup_bytes);
     std::string blob = saveWorld(w.eq, w.root);
-    if (!checkpoint_path.empty()) {
-        writeSnapshotFile(checkpoint_path, blob);
+    if (!o.checkpoint_path.empty()) {
+        writeSnapshotFile(o.checkpoint_path, blob);
         std::fprintf(stderr,
                      "comm: warmup checkpoint saved to %s\n",
-                     checkpoint_path.c_str());
+                     o.checkpoint_path.c_str());
     }
     return blob;
 }
 
 /**
- * Run one collective microbenchmark point and serialize it. pdes >
- * 0 runs the simulation on that many conservative partitions. When
+ * Run one collective microbenchmark point and serialize it. When
  * @p fork_blob is set the point resumes from the shared warmup
  * checkpoint instead of simulating the warmup itself; either way
  * the JSON below is byte-identical (the CI checkpoint-smoke job
  * cmp's the two documents).
  */
 void
-runCommJob(const std::string &topology, comm::Collective coll,
-           comm::Algorithm algo, std::uint64_t bytes,
-           unsigned warmup, std::uint64_t warmup_bytes, unsigned pdes,
-           const std::string *fork_blob, json::JsonWriter &jw)
+runCommJob(const CommOptions &o, comm::Algorithm algo,
+           std::uint64_t bytes, const std::string *fork_blob,
+           json::JsonWriter &jw)
 {
-    CommBenchWorld w(topology);
+    CommBenchWorld w(o.topology);
     if (fork_blob)
         restoreWorld(*fork_blob, w.eq, w.root);
-    comm::CommGroup &group = *w.group;
-
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &w.eq, w.topo->network(), pdes);
-        group.attachPdes(engine.get());
-    }
-
-    // Straight-through reference path for a warmed sweep: simulate
-    // the warmup prefix inline. Forked jobs restored it instead.
-    if (!fork_blob)
-        w.warmup(warmup, warmup_bytes);
-
-    comm::OpHandle op;
-    switch (coll) {
-      case comm::Collective::allReduce:
-        op = group.allReduce(0, bytes, algo);
-        break;
-      case comm::Collective::allGather:
-        op = group.allGather(0, bytes, algo);
-        break;
-      case comm::Collective::reduceScatter:
-        op = group.reduceScatter(0, bytes, algo);
-        break;
-      case comm::Collective::broadcast:
-        op = group.broadcast(0, 0, bytes, algo);
-        break;
-      default:
-        op = group.allToAll(0, bytes, algo);
-        break;
-    }
-    group.waitAll();
-    if (engine)
-        group.attachPdes(nullptr);
+    const comm::Collective coll = collectiveFor(o.collective);
+    const auto op = w.run(coll, algo, bytes, o.pdes,
+                          fork_blob ? 0 : o.warmup, o.warmup_bytes);
+    const comm::CommGroup &group = *w.group;
 
     jw.beginObject();
-    jw.kv("topology", topology);
+    jw.kv("topology", o.topology);
     jw.kv("collective", comm::collectiveName(coll));
     jw.kv("algorithm", comm::algorithmName(op->algorithm()));
     jw.kv("ranks", static_cast<double>(group.numRanks()));
@@ -635,61 +843,16 @@ runCommJob(const std::string &topology, comm::Collective coll,
 int
 commMain(int argc, char **argv)
 {
-    std::string topology = "quad";
-    std::string collective = "all_reduce";
-    std::vector<std::string> algos = {"ring", "direct"};
-    std::vector<std::string> sizes = {"1M", "16M", "64M"};
-    std::string json_path;
-    std::string checkpoint_path;
-    unsigned jobs = 1;
-    unsigned pdes = 0;
-    unsigned warmup = 0;
-    std::uint64_t warmup_bytes = 16 * MiB;
-    bool fork = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--topology")
-            topology = next();
-        else if (arg == "--collective")
-            collective = next();
-        else if (arg == "--algos")
-            algos = splitList(next());
-        else if (arg == "--sizes")
-            sizes = splitList(next());
-        else if (arg == "--warmup")
-            warmup = std::stoul(next());
-        else if (arg == "--warmup-bytes")
-            warmup_bytes = parseSize(next());
-        else if (arg == "--fork")
-            fork = true;
-        else if (arg == "--checkpoint")
-            checkpoint_path = next();
-        else if (arg == "--pdes")
-            pdes = std::stoul(next());
-        else if (arg == "--jobs")
-            jobs = std::stoul(next());
-        else if (arg == "--json")
-            json_path = next();
-        else
-            usage(argv[0]);
-    }
-    if (topology != "quad" && topology != "octo")
-        fatal("unknown topology '", topology, "' (quad, octo)");
-    if (algos.empty() || sizes.empty() || jobs == 0)
+    CommOptions o;
+    parseFlags(argc, argv, 2, commFlags(o));
+    if (o.algos.empty() || o.sizes.empty())
         usage(argv[0]);
-    if (!checkpoint_path.empty() && !fork)
+    if (!o.checkpoint_path.empty() && !o.fork)
         fatal("comm: --checkpoint needs --fork (the file holds the "
               "forked warmup prefix)");
-    if (fork && warmup == 0 && checkpoint_path.empty())
+    if (o.fork && o.warmup == 0 && o.checkpoint_path.empty())
         fatal("comm: --fork needs a warmup prefix to share (set "
               "--warmup N, or --checkpoint F to load one)");
-    const comm::Collective coll = collectiveFor(collective);
 
     // Every point of the sweep shares one warmup prefix: with
     // --fork it is simulated (or loaded) once and each point
@@ -697,75 +860,32 @@ commMain(int argc, char **argv)
     // straight-through reference the byte-identity gate cmp's
     // against.
     sweep::WarmupSpec warm;
-    warm.config = "comm|" + topology + "|w" + std::to_string(warmup) +
-                  "|b" + std::to_string(warmup_bytes);
-    warm.produce = [topology, warmup, warmup_bytes,
-                    checkpoint_path] {
-        return commWarmupBlob(topology, warmup, warmup_bytes,
-                              checkpoint_path);
-    };
+    warm.config = "comm|" + o.topology + "|w" + std::to_string(o.warmup) +
+                  "|b" + std::to_string(o.warmup_bytes);
+    warm.produce = [&o] { return commWarmupBlob(o); };
 
-    sweep::SweepRunner runner(jobs);
-    for (const auto &algo_name : algos) {
+    sweep::SweepRunner runner(o.jobs);
+    for (const auto &algo_name : o.algos) {
         const comm::Algorithm algo = algorithmFor(algo_name);
-        for (const auto &size : sizes) {
+        for (const auto &size : o.sizes) {
             const std::uint64_t bytes = parseSize(size);
-            const std::string name = topology + "/" + collective +
+            const std::string name = o.topology + "/" + o.collective +
                                      "/" + algo_name + "/" + size;
-            if (fork) {
+            if (o.fork) {
                 runner.addForkedJob(
                     name, warm,
-                    [=](const std::string &blob,
-                        json::JsonWriter &jw) {
-                        runCommJob(topology, coll, algo, bytes,
-                                   warmup, warmup_bytes, pdes, &blob,
-                                   jw);
+                    [&o, algo, bytes](const std::string &blob,
+                                      json::JsonWriter &jw) {
+                        runCommJob(o, algo, bytes, &blob, jw);
                     });
             } else {
-                runner.addJob(name, [=](json::JsonWriter &jw) {
-                    runCommJob(topology, coll, algo, bytes, warmup,
-                               warmup_bytes, pdes, nullptr, jw);
+                runner.addJob(name, [&o, algo, bytes](json::JsonWriter &jw) {
+                    runCommJob(o, algo, bytes, nullptr, jw);
                 });
             }
         }
     }
-
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "comm: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "comm: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli_comm",
-                                     results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "comm: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli_comm", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "comm: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "comm: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runAndWrite(runner, "comm", "ehpsim_cli_comm", o.json_path);
 }
 
 /**
@@ -773,59 +893,22 @@ commMain(int argc, char **argv)
  * degraded result plus the retry/reroute counters.
  */
 void
-runFaultJob(const std::string &topology, comm::Collective coll,
-            comm::Algorithm algo, std::uint64_t bytes,
-            const fault::FaultPlan &plan, const comm::CommParams &params,
-            unsigned pdes, json::JsonWriter &jw)
+runFaultJob(const FaultOptions &o, comm::Algorithm algo,
+            std::uint64_t bytes, const fault::FaultPlan &plan,
+            json::JsonWriter &jw)
 {
-    SimObject root(nullptr, "root");
-    auto topo = topology == "quad"
-                    ? soc::NodeTopology::mi300aQuadNode(&root)
-                    : soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-
-    fault::FaultInjector injector(topo.get(), "inj", plan, &eq);
-    injector.attachNetwork(topo->network());
-    injector.attachCommGroup(&group);
+    CommBenchWorld w(o.topology, o.params);
+    fault::FaultInjector injector(w.topo.get(), "inj", plan, &w.eq);
+    injector.attachNetwork(w.topo->network());
+    injector.attachCommGroup(w.group.get());
     injector.arm();
-
-    // Scheduled link kills land on the coordinator queue and bump
-    // the route epoch; the engine collapses partition groups at the
-    // next window boundary, so the faulted schedule (and the JSON
-    // below) is byte-identical to the serial run's.
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes);
-        group.attachPdes(engine.get());
-    }
-
-    comm::OpHandle op;
-    switch (coll) {
-      case comm::Collective::allReduce:
-        op = group.allReduce(0, bytes, algo);
-        break;
-      case comm::Collective::allGather:
-        op = group.allGather(0, bytes, algo);
-        break;
-      case comm::Collective::reduceScatter:
-        op = group.reduceScatter(0, bytes, algo);
-        break;
-      case comm::Collective::broadcast:
-        op = group.broadcast(0, 0, bytes, algo);
-        break;
-      default:
-        op = group.allToAll(0, bytes, algo);
-        break;
-    }
-    group.waitAll();
-    if (engine)
-        group.attachPdes(nullptr);
+    const comm::Collective coll = collectiveFor(o.collective);
+    const auto op = w.run(coll, algo, bytes, o.pdes);
+    const comm::CommGroup &group = *w.group;
+    const fabric::Network &net = *w.topo->network();
 
     jw.beginObject();
-    jw.kv("topology", topology);
+    jw.kv("topology", o.topology);
     jw.kv("collective", comm::collectiveName(coll));
     jw.kv("algorithm", comm::algorithmName(op->algorithm()));
     jw.kv("bytes", static_cast<double>(bytes));
@@ -837,11 +920,9 @@ runFaultJob(const std::string &topology, comm::Collective coll,
     jw.kv("faults_injected", injector.faults_injected.value());
     jw.kv("chunk_retries", group.chunk_retries.value());
     jw.kv("retry_wait_ticks", group.retry_wait_ticks.value());
-    jw.kv("links_killed",
-          topo->network()->links_killed.value());
-    jw.kv("links_derated",
-          topo->network()->links_derated.value());
-    jw.kv("reroutes", topo->network()->reroutes.value());
+    jw.kv("links_killed", net.links_killed.value());
+    jw.kv("links_derated", net.links_derated.value());
+    jw.kv("reroutes", net.reroutes.value());
     jw.kv("max_link_busy", group.maxLinkUtilization());
     jw.endObject();
 }
@@ -849,203 +930,49 @@ runFaultJob(const std::string &topology, comm::Collective coll,
 int
 faultMain(int argc, char **argv)
 {
-    std::string topology = "octo";
-    std::string collective = "all_reduce";
-    std::vector<std::string> algos = {"ring", "direct"};
-    std::vector<std::string> sizes = {"64M"};
-    std::vector<std::string> rates = {"0", "0.005", "0.02"};
-    std::vector<fault::LinkFault> kills;
-    std::uint64_t seed = 1;
-    std::string json_path;
-    unsigned jobs = 1;
-    unsigned pdes = 0;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    // See ablation_resilience: a timeout-based retransmit has to
-    // cover the per-link chunk backlog to detect loss at all.
-    params.retry_timeout = 200'000'000;     // 200 us
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--topology")
-            topology = next();
-        else if (arg == "--collective")
-            collective = next();
-        else if (arg == "--algos")
-            algos = splitList(next());
-        else if (arg == "--sizes")
-            sizes = splitList(next());
-        else if (arg == "--rates")
-            rates = splitList(next());
-        else if (arg == "--seed")
-            seed = std::stoull(next());
-        else if (arg == "--kill")
-            kills.push_back(fault::parseLinkFault(next()));
-        else if (arg == "--max-retries")
-            params.max_retries = std::stoul(next());
-        else if (arg == "--retry-timeout")
-            params.retry_timeout = std::stoull(next());
-        else if (arg == "--pdes")
-            pdes = std::stoul(next());
-        else if (arg == "--jobs")
-            jobs = std::stoul(next());
-        else if (arg == "--json")
-            json_path = next();
-        else
-            usage(argv[0]);
-    }
-    if (topology != "quad" && topology != "octo")
-        fatal("unknown topology '", topology, "' (quad, octo)");
-    if (algos.empty() || sizes.empty() || rates.empty() || jobs == 0)
+    FaultOptions o;
+    parseFlags(argc, argv, 2, faultFlags(o));
+    if (o.algos.empty() || o.sizes.empty() || o.rates.empty())
         usage(argv[0]);
-    const comm::Collective coll = collectiveFor(collective);
 
-    sweep::SweepRunner runner(jobs);
-    for (const auto &algo_name : algos) {
+    sweep::SweepRunner runner(o.jobs);
+    for (const auto &algo_name : o.algos) {
         const comm::Algorithm algo = algorithmFor(algo_name);
-        for (const auto &size : sizes) {
+        for (const auto &size : o.sizes) {
             const std::uint64_t bytes = parseSize(size);
-            for (const auto &rate : rates) {
+            for (const auto &rate : o.rates) {
                 fault::FaultPlan plan;
-                plan.seed = seed;
-                plan.chunk_error_rate = std::stod(rate);
-                plan.link_faults = kills;
+                plan.seed = o.seed;
+                plan.chunk_error_rate = parseDouble(rate);
+                plan.link_faults = o.kills;
                 plan.validate();
-                runner.addJob(topology + "/" + collective + "/" +
+                runner.addJob(o.topology + "/" + o.collective + "/" +
                                   algo_name + "/" + size + "/" + rate,
-                              [=](json::JsonWriter &jw) {
-                                  runFaultJob(topology, coll, algo,
-                                              bytes, plan, params,
-                                              pdes, jw);
+                              [&o, algo, bytes, plan](json::JsonWriter &jw) {
+                                  runFaultJob(o, algo, bytes, plan, jw);
                               });
             }
         }
     }
-
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "fault: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "fault: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli_fault",
-                                     results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "fault: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli_fault", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "fault: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "fault: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
-}
-
-/** Parse "ch@tick" into a scheduled HBM channel blackout. */
-fault::ChannelFault
-parseChannelFault(const std::string &spec)
-{
-    const auto at = spec.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= spec.size())
-        fatal("bad blackout spec '", spec, "' (want ch@tick)");
-    fault::ChannelFault f;
-    f.channel = std::stoul(spec.substr(0, at));
-    f.at = std::stoull(spec.substr(at + 1));
-    return f;
+    return runAndWrite(runner, "fault", "ehpsim_cli_fault", o.json_path);
 }
 
 int
 serveMain(int argc, char **argv)
 {
-    std::vector<std::string> devices = {"mi300x", "baseline"};
-    std::vector<std::string> loads = {"0.25", "1.0"};
-    serve::ScenarioParams base;
-    std::string json_path;
-    unsigned jobs = 1;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--devices")
-            devices = splitList(next());
-        else if (arg == "--loads")
-            loads = splitList(next());
-        else if (arg == "--tp")
-            base.tp = std::stoul(next());
-        else if (arg == "--requests")
-            base.num_requests = std::stoul(next());
-        else if (arg == "--input-tokens")
-            base.input_tokens = std::stoul(next());
-        else if (arg == "--output-tokens")
-            base.output_tokens = std::stoul(next());
-        else if (arg == "--seed")
-            base.seed = std::stoull(next());
-        else if (arg == "--bursty")
-            base.bursty = true;
-        else if (arg == "--token-budget")
-            base.token_budget = std::stoul(next());
-        else if (arg == "--max-batch")
-            base.max_batch = std::stoul(next());
-        else if (arg == "--kv-blocks")
-            base.kv_blocks_override = std::stoull(next());
-        else if (arg == "--error-rate")
-            base.faults.chunk_error_rate = std::stod(next());
-        else if (arg == "--kill")
-            base.faults.link_faults.push_back(
-                fault::parseLinkFault(next()));
-        else if (arg == "--blackout")
-            base.faults.channel_faults.push_back(
-                parseChannelFault(next()));
-        else if (arg == "--pdes")
-            base.pdes = std::stoul(next());
-        else if (arg == "--checkpoint-at")
-            base.checkpoint_at = std::stoull(next());
-        else if (arg == "--jobs")
-            jobs = std::stoul(next());
-        else if (arg == "--json")
-            json_path = next();
-        else
-            usage(argv[0]);
-    }
-    if (devices.empty() || loads.empty() || jobs == 0)
+    ServeOptions o;
+    parseFlags(argc, argv, 2, serveFlags(o));
+    if (o.devices.empty() || o.loads.empty())
         usage(argv[0]);
-    base.faults.seed = base.seed;
-    base.faults.validate();
+    o.base.faults.seed = o.base.seed;
+    o.base.faults.validate();
 
-    sweep::SweepRunner runner(jobs);
-    for (const auto &device : devices) {
-        for (const auto &load : loads) {
-            serve::ScenarioParams p = base;
+    sweep::SweepRunner runner(o.jobs);
+    for (const auto &device : o.devices) {
+        for (const auto &load : o.loads) {
+            serve::ScenarioParams p = o.base;
             p.device = device;
-            p.load_rps = std::stod(load);
+            p.load_rps = parseDouble(load);
             runner.addJob(device + "/load" + load,
                           [p](json::JsonWriter &jw) {
                               const auto r =
@@ -1054,55 +981,17 @@ serveMain(int argc, char **argv)
                           });
         }
     }
-
-    const auto results = runner.run();
-
-    std::fprintf(stderr,
-                 "serve: %zu jobs on %u workers, %.3f s of job time\n",
-                 results.size(), runner.workers(),
-                 sweep::SweepRunner::totalJobSeconds(results));
-    int failures = 0;
-    for (const auto &res : results) {
-        if (!res.ok) {
-            ++failures;
-            std::fprintf(stderr, "serve: job %zu (%s) failed: %s\n",
-                         res.index, res.name.c_str(),
-                         res.error.c_str());
-        }
-    }
-
-    if (json_path.empty()) {
-        sweep::SweepRunner::dumpJson(std::cout, "ehpsim_cli_serve",
-                                     results);
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "serve: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        sweep::SweepRunner::dumpJson(out, "ehpsim_cli_serve", results);
-        if (!out.flush()) {
-            std::fprintf(stderr, "serve: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "serve: JSON written to %s\n",
-                     json_path.c_str());
-    }
-    return failures == 0 ? 0 : 1;
+    return runAndWrite(runner, "serve", "ehpsim_cli_serve", o.json_path);
 }
 
 #ifdef EHPSIM_RACE
 /**
- * Per-scenario data the race jobs extract for the merged top-level
- * report. Slots are preallocated per job index and each written by
- * exactly one worker, so no synchronization is needed beyond the
- * runner's own join. Only compiled with the tracker hooks: in a
- * plain build raceMain exits early and these helpers would trip
- * -Wunused-function under the -Werror gate.
+ * The merged counters and PDES tables of every race scenario. Only
+ * compiled with the tracker hooks: in a plain build raceMain exits
+ * early and these helpers would trip -Wunused-function under the
+ * -Werror gate.
  */
-struct RaceJobData
+struct RaceTotals
 {
     std::map<std::pair<int, int>, Tick> lookahead;
     std::map<std::pair<int, int>, std::uint64_t> flows;
@@ -1111,158 +1000,96 @@ struct RaceJobData
     std::uint64_t unwaived = 0;
     std::uint64_t events = 0;
     std::uint64_t accesses = 0;
+
+    void
+    add(const race::AccessTracker &t)
+    {
+        conflicts += t.conflictCount();
+        waived += t.waivedCount();
+        unwaived += t.unwaivedCount();
+        events += t.eventCount();
+        accesses += t.accessCount();
+        for (const auto &[pair, latency] : t.lookahead()) {
+            auto [it, inserted] = lookahead.emplace(pair, latency);
+            if (!inserted)
+                it->second = std::min(it->second, latency);
+        }
+        for (const auto &[pair, count] : t.flows())
+            flows[pair] += count;
+    }
 };
 
-/** Serialize one scenario's result: its name plus the full
+/** Run @p scenario under @p t and serialize its name plus the full
  *  ehpsim-race-v1 tracker report. */
 void
-dumpRaceScenario(json::JsonWriter &jw, const std::string &name,
-                 const race::AccessTracker &t)
+runRaceScenario(const std::string &name, race::AccessTracker &t,
+                const std::function<void()> &scenario,
+                json::JsonWriter &jw)
 {
+    race::addStandardWaivers(t);
+    {
+        race::TrackerScope scope(&t);
+        scenario();
+    }
     jw.beginObject();
     jw.kv("scenario", name);
     jw.key("report");
     t.dumpJson(jw);
     jw.endObject();
 }
-
-void
-extractRaceData(const race::AccessTracker &t, RaceJobData &out)
-{
-    out.lookahead = t.lookahead();
-    out.flows = t.flows();
-    out.conflicts = t.conflictCount();
-    out.waived = t.waivedCount();
-    out.unwaived = t.unwaivedCount();
-    out.events = t.eventCount();
-    out.accesses = t.accessCount();
-}
-
-/** The octo-node ring all-reduce under the tracker: the collective
- *  hot path whose batched completions PR 5 made reorderable. */
-void
-runRaceCommJob(std::uint64_t bytes, json::JsonWriter &jw,
-               RaceJobData &out)
-{
-    race::AccessTracker t;
-    race::addStandardWaivers(t);
-    {
-        race::TrackerScope scope(&t);
-        SimObject root(nullptr, "root");
-        auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        comm::CommGroup group(topo.get(), "comm", topo->network(),
-                              topo->deviceRanks(), &eq, params);
-        group.allReduce(0, bytes, comm::Algorithm::ring);
-        group.waitAll();
-    }
-    dumpRaceScenario(jw, "comm_allreduce_octo", t);
-    extractRaceData(t, out);
-}
-
-/** A fixed-seed TP-decode serving run under the tracker (no fault
- *  plan: scheduled faults are exercised by race_test instead). */
-void
-runRaceServeJob(unsigned requests, std::uint64_t seed,
-                json::JsonWriter &jw, RaceJobData &out)
-{
-    race::AccessTracker t;
-    race::addStandardWaivers(t);
-    {
-        race::TrackerScope scope(&t);
-        serve::ScenarioParams p;
-        p.device = "mi300x";
-        p.tp = 2;
-        p.num_requests = requests;
-        p.seed = seed;
-        p.load_rps = 1.0;
-        serve::runServingScenario(p);
-    }
-    dumpRaceScenario(jw, "serve_octo_tp2", t);
-    extractRaceData(t, out);
-}
 #endif // EHPSIM_RACE
 
 int
 raceMain(int argc, char **argv)
 {
-    std::uint64_t bytes = 4 * MiB;
-    unsigned requests = 8;
-    std::uint64_t seed = 42;
-    std::string json_path;
-    unsigned jobs = 1;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
-        if (arg == "--bytes")
-            bytes = parseSize(next());
-        else if (arg == "--requests")
-            requests = std::stoul(next());
-        else if (arg == "--seed")
-            seed = std::stoull(next());
-        else if (arg == "--jobs")
-            jobs = std::stoul(next());
-        else if (arg == "--json")
-            json_path = next();
-        else
-            usage(argv[0]);
-    }
-    if (jobs == 0)
-        usage(argv[0]);
+    RaceOptions o;
+    parseFlags(argc, argv, 2, raceFlags(o));
 
 #ifndef EHPSIM_RACE
-    (void)bytes;
-    (void)requests;
-    (void)seed;
     std::fprintf(stderr,
                  "race: this binary was built without the tracker "
                  "hooks; reconfigure with -DEHPSIM_RACE=ON\n");
     return 2;
 #else
-    std::vector<RaceJobData> data(2);
-    sweep::SweepRunner runner(jobs);
-    runner.addJob("comm_allreduce_octo",
-                  [bytes, &data](json::JsonWriter &jw) {
-                      runRaceCommJob(bytes, jw, data[0]);
-                  });
-    runner.addJob("serve_octo_tp2",
-                  [requests, seed, &data](json::JsonWriter &jw) {
-                      runRaceServeJob(requests, seed, jw, data[1]);
-                  });
+    // One tracker per job, each written by exactly one worker and
+    // read only after the runner's join.
+    std::array<race::AccessTracker, 2> trackers;
+    sweep::SweepRunner runner(o.jobs);
+    // The octo-node ring all-reduce: the collective hot path whose
+    // batched completions are reorderable.
+    runner.addJob("comm_allreduce_octo", [&](json::JsonWriter &jw) {
+        runRaceScenario("comm_allreduce_octo", trackers[0], [&] {
+            CommBenchWorld("octo").run(comm::Collective::allReduce,
+                                       comm::Algorithm::ring, o.bytes, 0);
+        }, jw);
+    });
+    // A fixed-seed TP-decode serving run (no fault plan: scheduled
+    // faults are exercised by race_test instead).
+    runner.addJob("serve_octo_tp2", [&](json::JsonWriter &jw) {
+        runRaceScenario("serve_octo_tp2", trackers[1], [&] {
+            serve::ScenarioParams p;
+            p.device = "mi300x";
+            p.tp = 2;
+            p.num_requests = o.requests;
+            p.seed = o.seed;
+            p.load_rps = 1.0;
+            serve::runServingScenario(p);
+        }, jw);
+    });
 
     const auto results = runner.run();
 
     int failures = 0;
+    RaceTotals total;
     for (const auto &res : results) {
         if (!res.ok) {
             ++failures;
             std::fprintf(stderr, "race: job %zu (%s) failed: %s\n",
                          res.index, res.name.c_str(),
                          res.error.c_str());
+        } else {
+            total.add(trackers[res.index]);
         }
-    }
-
-    RaceJobData total;
-    for (const auto &d : data) {
-        total.conflicts += d.conflicts;
-        total.waived += d.waived;
-        total.unwaived += d.unwaived;
-        total.events += d.events;
-        total.accesses += d.accesses;
-        for (const auto &[pair, latency] : d.lookahead) {
-            auto [it, inserted] = total.lookahead.emplace(pair, latency);
-            if (!inserted)
-                it->second = std::min(it->second, latency);
-        }
-        for (const auto &[pair, count] : d.flows)
-            total.flows[pair] += count;
     }
 
     std::ostringstream doc;
@@ -1316,26 +1143,8 @@ raceMain(int argc, char **argv)
     }
     doc << "\n";
 
-    if (json_path.empty()) {
-        std::cout << doc.str();
-        std::cout.flush();
-    } else {
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "race: cannot open %s for writing\n",
-                         json_path.c_str());
-            return 1;
-        }
-        out << doc.str();
-        if (!out.flush()) {
-            std::fprintf(stderr, "race: error writing %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "race: JSON written to %s\n",
-                     json_path.c_str());
-    }
-
+    const bool written =
+        sweep::SweepRunner::writeDocument("race", doc.str(), o.json_path);
     std::fprintf(stderr,
                  "race: %zu scenarios, %llu events, %llu accesses, "
                  "%llu conflicts (%llu waived, %llu unwaived)\n",
@@ -1345,48 +1154,25 @@ raceMain(int argc, char **argv)
                  static_cast<unsigned long long>(total.conflicts),
                  static_cast<unsigned long long>(total.waived),
                  static_cast<unsigned long long>(total.unwaived));
-    return (failures == 0 && total.unwaived == 0) ? 0 : 1;
+    return (written && failures == 0 && total.unwaived == 0) ? 0 : 1;
 #endif // EHPSIM_RACE
 }
 
+/** The top-level single run: one workload on one product. */
 int
-dispatch(int argc, char **argv)
+runMain(int argc, char **argv)
 {
-    if (argc > 1 && std::strcmp(argv[1], "race") == 0)
-        return raceMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "sweep") == 0)
-        return sweepMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "comm") == 0)
-        return commMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "fault") == 0)
-        return faultMain(argc, argv);
-    if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-        return serveMain(argc, argv);
-
-    const Options opt = parseArgs(argc, argv);
+    RunOptions opt;
+    parseFlags(argc, argv, 1, runFlags(opt));
     const auto workload = workloadFor(opt.workload, opt.scale);
     std::printf("ehpsim: %s on %s via %s engine\n",
                 workload.name.c_str(), opt.product.c_str(),
                 opt.engine.c_str());
 
-    RunReport report;
-    if (opt.engine == "roofline") {
-        const RooflineEngine eng(modelFor(opt.product));
-        report = eng.run(workload);
-    } else if (opt.engine == "event") {
-        ApuSystem sys(productFor(opt.product),
-                      opt.nps == 4 ? mem::NumaMode::nps4
-                                   : mem::NumaMode::nps1);
-        const auto policy = opt.policy == "blocked"
-                                ? hsa::DistributionPolicy::blocked
-                                : hsa::DistributionPolicy::roundRobin;
-        report = sys.run(workload, opt.partitions, policy);
-        if (opt.dump_stats)
-            sys.dumpStats(std::cout);
-    } else {
-        usage(argv[0]);
-    }
-
+    std::unique_ptr<ApuSystem> sys;
+    const RunReport report = runWorkload(opt, workload, sys);
+    if (opt.dump_stats && sys)
+        sys->dumpStats(std::cout);
     std::printf("\n%-24s %12s %10s %10s %10s\n", "phase", "total",
                 "gpu", "cpu", "copies");
     for (const auto &p : report.phases) {
@@ -1410,21 +1196,37 @@ dispatch(int argc, char **argv)
     return 0;
 }
 
+int
+dispatch(int argc, char **argv)
+{
+    const std::string cmd = argc > 1 ? argv[1] : "";
+    if (cmd == "race")
+        return raceMain(argc, argv);
+    if (cmd == "sweep")
+        return sweepMain(argc, argv);
+    if (cmd == "comm")
+        return commMain(argc, argv);
+    if (cmd == "fault")
+        return faultMain(argc, argv);
+    if (cmd == "serve")
+        return serveMain(argc, argv);
+    return runMain(argc, argv);
+}
+
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
     // Malformed input exits 2 with a message instead of reaching
-    // std::terminate: std::sto* throws std::invalid_argument or
-    // std::out_of_range on a bad number, and fatal() throws after
-    // printing its own message (a bad size suffix, fault spec, or
+    // std::terminate: parseFlags() rethrows a rejected value as
+    // std::invalid_argument naming the flag, and fatal() throws
+    // after printing its own message (a bad fault spec or
     // configuration).
     try {
         return dispatch(argc, argv);
     } catch (const std::logic_error &e) {
-        std::fprintf(stderr, "%s: malformed numeric argument (%s)\n",
-                     argv[0], e.what());
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
         return 2;
     } catch (const std::runtime_error &) {
         return 2;

@@ -1,8 +1,10 @@
 #include "fault/fault_plan.hh"
 
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/logging.hh"
+#include "sim/units.hh"
 
 namespace ehpsim
 {
@@ -57,16 +59,30 @@ parseLinkFault(const std::string &spec)
         spec.substr(at + 1, star == std::string::npos
                                 ? std::string::npos
                                 : star - at - 1);
-    bool parsed = true;
     try {
-        f.at = std::stoull(tick_str);
+        f.at = parseUnsigned(tick_str);
         if (star != std::string::npos)
-            f.derate = std::stod(spec.substr(star + 1));
+            f.derate = parseDouble(spec.substr(star + 1));
     } catch (const std::logic_error &) {
-        parsed = false;
-    }
-    if (!parsed)
         fatal("bad link fault '", spec, "' (want a:b@tick[*factor])");
+    }
+    return f;
+}
+
+ChannelFault
+parseChannelFault(const std::string &spec)
+{
+    const auto at = spec.find('@');
+    if (at == std::string::npos)
+        fatal("bad blackout spec '", spec, "' (want ch@tick)");
+    ChannelFault f;
+    try {
+        f.channel = static_cast<unsigned>(
+            parseUnsigned(spec.substr(0, at), ~0u));
+        f.at = parseUnsigned(spec.substr(at + 1));
+    } catch (const std::logic_error &) {
+        fatal("bad blackout spec '", spec, "' (want ch@tick)");
+    }
     return f;
 }
 

@@ -82,6 +82,9 @@ struct FaultPlan
  */
 LinkFault parseLinkFault(const std::string &spec);
 
+/** Parse "CH@TICK" (HBM channel CH blacks out at TICK). */
+ChannelFault parseChannelFault(const std::string &spec);
+
 /**
  * Harvest an XCD down to @p active_cus enabled CUs (stock MI300
  * ships 38 of 40). Flows into dispatch, peak flops, the roofline

@@ -59,6 +59,26 @@ std::string formatBytes(std::uint64_t bytes);
 /** Render a bandwidth as a human-readable string ("5.3 TB/s"). */
 std::string formatBandwidth(BytesPerSecond bw);
 
+/*
+ * Strict parsers for user input (flags, fault specs). The whole of
+ * @p s must be the number: no blanks, no trailing characters, and
+ * no sign on an unsigned value. A malformed number throws
+ * std::invalid_argument and one that does not fit throws
+ * std::out_of_range; both messages quote @p s, and callers add the
+ * flag or spec it came from.
+ */
+
+/** An unsigned decimal integer no larger than @p max. */
+std::uint64_t parseUnsigned(const std::string &s,
+                            std::uint64_t max = ~std::uint64_t(0));
+
+/** A finite floating-point number ("0.5", "1e-3", "-2"). */
+double parseDouble(const std::string &s);
+
+/** A byte count with an optional binary K/M/G suffix: "64", "4K",
+ *  "16M", "1G". */
+std::uint64_t parseSize(const std::string &s);
+
 } // namespace ehpsim
 
 #endif // EHPSIM_SIM_UNITS_HH

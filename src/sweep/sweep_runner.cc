@@ -1,6 +1,9 @@
 #include "sweep/sweep_runner.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iostream>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -189,6 +192,44 @@ SweepRunner::dumpJson(std::ostream &os, const std::string &sweep,
     jw.endArray();
     jw.endObject();
     os << "\n";
+}
+
+bool
+SweepRunner::writeJson(const std::string &tag, const std::string &sweep,
+                       const std::vector<JobResult> &results,
+                       const std::string &path) const
+{
+    std::fprintf(stderr, "%s: %zu jobs on %u workers, %.3f s of job time\n",
+                 tag.c_str(), results.size(), workers_,
+                 totalJobSeconds(results));
+    for (const auto &res : results) {
+        if (!res.ok)
+            std::fprintf(stderr, "%s: job %zu (%s) failed: %s\n",
+                         tag.c_str(), res.index, res.name.c_str(),
+                         res.error.c_str());
+    }
+    std::ostringstream doc;
+    dumpJson(doc, sweep, results);
+    return writeDocument(tag, doc.str(), path);
+}
+
+bool
+SweepRunner::writeDocument(const std::string &tag, const std::string &doc,
+                           const std::string &path)
+{
+    std::ofstream file;
+    if (!path.empty())
+        file.open(path);
+    std::ostream &out = path.empty() ? std::cout : file;
+    if (!(out << doc).flush()) {
+        std::fprintf(stderr, "%s: cannot write %s\n", tag.c_str(),
+                     path.empty() ? "stdout" : path.c_str());
+        return false;
+    }
+    if (!path.empty())
+        std::fprintf(stderr, "%s: JSON written to %s\n", tag.c_str(),
+                     path.c_str());
+    return true;
 }
 
 double

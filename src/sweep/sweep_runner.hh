@@ -130,6 +130,23 @@ class SweepRunner
     static void dumpJson(std::ostream &os, const std::string &sweep,
                          const std::vector<JobResult> &results);
 
+    /**
+     * The end of every sweep command: print the operator summary
+     * ("<tag>: N jobs on W workers, S s of job time") and each
+     * failed job to stderr, then write the dumpJson() document to
+     * @p path, or to stdout when @p path is empty. @return false
+     * when the document could not be written in full (the reason is
+     * printed).
+     */
+    bool writeJson(const std::string &tag, const std::string &sweep,
+                   const std::vector<JobResult> &results,
+                   const std::string &path) const;
+
+    /** Write a finished document @p doc the way writeJson() does. */
+    static bool writeDocument(const std::string &tag,
+                              const std::string &doc,
+                              const std::string &path);
+
     /** Total wall-clock seconds across all jobs in @p results. */
     static double totalJobSeconds(const std::vector<JobResult> &results);
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * End-to-end checks of ehpsim_cli flag handling that unit tests
- * can't see: `sweep --pdes` and malformed numbers or sizes must be
- * rejected with exit 2 and a clear error, and the comm
+ * can't see: `sweep --pdes`, unknown flags, and malformed numbers,
+ * sizes, fault specs, or enumerated values must be rejected with
+ * exit 2 and a clear error, and the comm
  * checkpoint/fork path must produce byte-identical JSON to the
  * straight-through run while actually sharing the warmup (DESIGN.md
  * §16). The binary comes in via EHPSIM_CLI_BIN.
@@ -25,14 +26,15 @@ struct CmdResult
     std::string stderr_text;
 };
 
-/** Run the CLI with @p args; capture exit code and stderr. */
+/** Run the CLI with @p args; capture exit code and stderr. A run
+ *  that hangs is killed and fails (exit 124) instead of blocking. */
 CmdResult
 runCli(const std::string &args, const std::string &tag)
 {
     const std::string err_path =
         std::string("cli_test_") + tag + ".err";
-    const std::string cmd = std::string(EHPSIM_CLI_BIN) + " " + args +
-                            " > /dev/null 2> " + err_path;
+    const std::string cmd = std::string("timeout 120 ") + EHPSIM_CLI_BIN +
+                            " " + args + " > /dev/null 2> " + err_path;
     CmdResult res;
     const int rc = std::system(cmd.c_str());
     res.exit_code = WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
@@ -81,26 +83,47 @@ TEST(CliSweep, PlainSweepStillWorks)
     std::remove("cli_test_sweep.json");
 }
 
-TEST(CliFlags, MalformedNumberExitsTwo)
+TEST(CliFlags, MalformedInputExitsTwo)
 {
-    // std::stoul's std::invalid_argument used to escape main and
-    // abort (exit 134).
-    const auto res = runCli("serve --jobs banana", "bad_number");
-    EXPECT_EQ(res.exit_code, 2) << res.stderr_text;
-    EXPECT_NE(res.stderr_text.find("malformed numeric argument"),
-              std::string::npos)
-        << res.stderr_text;
-}
-
-TEST(CliFlags, BadSizeSuffixExitsTwo)
-{
-    // parseSize() reports through fatal(), whose exception used to
-    // escape main and abort (exit 134).
-    const auto res = runCli("comm --sizes 12Q", "bad_size");
-    EXPECT_EQ(res.exit_code, 2) << res.stderr_text;
-    EXPECT_NE(res.stderr_text.find("bad size suffix in '12Q'"),
-              std::string::npos)
-        << res.stderr_text;
+    // Each row must exit 2 with a message naming the flag or value:
+    // never abort (exit 134), run with a truncated or wrapped number
+    // or a defaulted enumerated value, or hang (--warmup -1 would
+    // run 2^32-1 warmups; runCli's timeout fails it).
+    struct Case
+    {
+        const char *args;
+        const char *stderr_has;
+    };
+    const Case cases[] = {
+        {"serve --jobs banana", "malformed numeric argument"},
+        {"comm --sizes 12Q", "bad size suffix in '12Q'"},
+        {"serve --requests 2abc",
+         "--requests: malformed numeric argument '2abc'"},
+        {"fault --rates 0.01x",
+         "--rates: malformed numeric argument '0.01x'"},
+        {"comm --pdes 3x", "--pdes: malformed numeric argument '3x'"},
+        {"serve --jobs -1", "--jobs: malformed numeric argument '-1'"},
+        {"serve --jobs 99999999999", "--jobs: numeric argument "
+                                     "'99999999999' out of range"},
+        {"comm --pdes -1", "--pdes: malformed numeric argument '-1'"},
+        {"comm --topology octo --sizes 1M --algos ring --warmup -1 "
+         "--fork",
+         "--warmup: malformed numeric argument '-1'"},
+        {"sweep --engine bogus", "--engine: unknown value 'bogus' "
+                                 "(want one of event, roofline)"},
+        {"--policy bogus", "--policy: unknown value 'bogus' "
+                           "(want one of rr, blocked)"},
+        {"--nps 7", "--nps: unknown value '7' (want one of 1, 4)"},
+        {"fault --kill a:b@-5", "bad link fault 'a:b@-5'"},
+        {"serve --blackout 3x@5", "bad blackout spec '3x@5'"},
+        {"comm --jsno x.json", "unknown flag '--jsno'"},
+    };
+    for (const auto &c : cases) {
+        const auto res = runCli(c.args, "malformed");
+        EXPECT_EQ(res.exit_code, 2) << c.args << "\n" << res.stderr_text;
+        EXPECT_NE(res.stderr_text.find(c.stderr_has), std::string::npos)
+            << c.args << "\n" << res.stderr_text;
+    }
 }
 
 TEST(CliComm, ForkedWarmupSweepIsByteIdentical)

@@ -124,6 +124,23 @@ TEST(FaultPlan, ParseLinkFaultSpecs)
                  std::runtime_error);
     EXPECT_THROW(fault::parseLinkFault(":b@1"), std::runtime_error);
     EXPECT_THROW(fault::parseLinkFault("a:b@"), std::runtime_error);
+    // Strict numbers: a negative tick used to wrap to a huge one and
+    // trailing junk used to be dropped.
+    EXPECT_THROW(fault::parseLinkFault("a:b@-5"), std::runtime_error);
+    EXPECT_THROW(fault::parseLinkFault("a:b@12x"), std::runtime_error);
+    EXPECT_THROW(fault::parseLinkFault("a:b@12*0.5x"),
+                 std::runtime_error);
+}
+
+TEST(FaultPlan, ParseChannelFaultSpecs)
+{
+    const auto f = fault::parseChannelFault("3@5000");
+    EXPECT_EQ(f.channel, 3u);
+    EXPECT_EQ(f.at, 5000u);
+
+    for (const char *bad : {"3", "@5", "3@", "3x@5", "3@5x", "-1@5"})
+        EXPECT_THROW(fault::parseChannelFault(bad), std::runtime_error)
+            << bad;
 }
 
 TEST(FaultPlan, DescribeSummarizesThePlan)

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -639,6 +640,43 @@ TEST(Units, Formatting)
     EXPECT_EQ(formatBytes(100), "100 B");
     EXPECT_EQ(formatBandwidth(tbps(5.3)), "5.30 TB/s");
     EXPECT_EQ(formatBandwidth(gbps(64.0)), "64.00 GB/s");
+}
+
+TEST(Units, StrictNumberParsing)
+{
+    EXPECT_EQ(parseUnsigned("0"), 0u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615"), ~std::uint64_t(0));
+    EXPECT_EQ(parseUnsigned("4294967295", 4294967295u), 4294967295u);
+    EXPECT_DOUBLE_EQ(parseDouble("0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(parseDouble("-2"), -2.0);
+    EXPECT_DOUBLE_EQ(parseDouble("1e-3"), 1e-3);
+
+    // The whole string must be the number.
+    for (const char *bad : {"", "2abc", " 1", "1 ", "+1", "-1", "0x10"})
+        EXPECT_THROW(parseUnsigned(bad), std::invalid_argument) << bad;
+    for (const char *bad : {"", "0.01x", "nan", "inf", "1.0.0"})
+        EXPECT_THROW(parseDouble(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(parseUnsigned("4294967296", 4294967295u),
+                 std::out_of_range);
+    EXPECT_THROW(parseUnsigned("99999999999999999999"), std::out_of_range);
+    EXPECT_THROW(parseDouble("1e999"), std::out_of_range);
+}
+
+TEST(Units, StrictSizeParsing)
+{
+    EXPECT_EQ(parseSize("64"), 64u);
+    EXPECT_EQ(parseSize("4K"), 4 * KiB);
+    EXPECT_EQ(parseSize("16m"), 16 * MiB);
+    EXPECT_EQ(parseSize("1G"), GiB);
+
+    for (const char *bad : {"", "M", "-1M", "12Q", "16MB", "1.5M"})
+        EXPECT_THROW(parseSize(bad), std::invalid_argument) << bad;
+    EXPECT_THROW(parseSize("17179869184G"), std::out_of_range);
+    try {
+        parseSize("12Q");
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(), "bad size suffix in '12Q'");
+    }
 }
 
 TEST(Logging, FatalThrows)
