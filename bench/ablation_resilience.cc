@@ -22,11 +22,10 @@
 
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
-#include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "gpu/xcd.hh"
 #include "mem/hbm_subsystem.hh"
-#include "soc/node_topology.hh"
+#include "soc/comm_world.hh"
 
 using namespace ehpsim;
 using namespace ehpsim::comm;
@@ -64,32 +63,21 @@ void
 faultRateCase(Algorithm algo, double rate, const std::string &label,
               bench::RowSink &sink)
 {
-    SimObject root(nullptr, "root");
-    auto octo = NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
+    CommParams params = kFig18Comm;
     // A timeout-based retransmit can only detect loss after the
     // chunk (and the queue ahead of it) would have drained, so the
     // timer has to cover the per-link backlog: ~130 us here.
     params.retry_timeout = 200'000'000;     // 200 us
-    CommGroup group(octo.get(), "comm", octo->network(),
-                    octo->deviceRanks(), &eq, params);
-
     fault::FaultPlan plan;
     plan.seed = kSeed;
     plan.chunk_error_rate = rate;
-    fault::FaultInjector inj(octo.get(), "inj", plan, &eq);
-    inj.attachCommGroup(&group);
-    inj.arm();
-
-    auto op = group.allReduce(0, kBytes, algo);
-    group.waitAll();
+    CommWorld w("octo", params, &plan);
+    const OpHandle op = w.run(Collective::allReduce, algo, kBytes);
 
     const std::string series =
         std::string("allreduce_octo_") + algorithmName(algo);
     sink.row(series, label, op->algoBandwidth() / 1e9, "GB/s");
-    sink.row(series + "_retries", label, group.chunk_retries.value(),
+    sink.row(series + "_retries", label, w.group->chunk_retries.value(),
              "chunks");
 }
 
@@ -104,44 +92,26 @@ linkKillCase(bench::RowSink &sink)
     double base_bw = 0;
     Tick base_finish = 0;
     {
-        SimObject root(nullptr, "root");
-        auto octo = NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        CommGroup group(octo.get(), "comm", octo->network(),
-                        octo->deviceRanks(), &eq, params);
-        auto op = group.allReduce(0, kBytes, Algorithm::direct);
-        group.waitAll();
+        CommWorld w("octo", kFig18Comm);
+        const OpHandle op =
+            w.run(Collective::allReduce, Algorithm::direct, kBytes);
         base_bw = op->algoBandwidth();
         base_finish = op->finishTick();
     }
-
-    SimObject root(nullptr, "root");
-    auto octo = NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    CommGroup group(octo.get(), "comm", octo->network(),
-                    octo->deviceRanks(), &eq, params);
 
     fault::FaultPlan plan;
     plan.seed = kSeed;
     plan.link_faults.push_back(
         {"mi300x0", "mi300x1", base_finish / 4, 0.0});
-    fault::FaultInjector inj(octo.get(), "inj", plan, &eq);
-    inj.attachNetwork(octo->network());
-    inj.attachCommGroup(&group);
-    inj.arm();
-
-    auto op = group.allReduce(0, kBytes, Algorithm::direct);
-    group.waitAll();
+    CommWorld w("octo", kFig18Comm, &plan);
+    const OpHandle op =
+        w.run(Collective::allReduce, Algorithm::direct, kBytes);
 
     sink.row("link_kill", "healthy", base_bw / 1e9, "GB/s");
     sink.row("link_kill", "one_x16_down", op->algoBandwidth() / 1e9,
              "GB/s");
     sink.row("link_kill_reroutes", "one_x16_down",
-             octo->network()->reroutes.value(), "recomputes");
+             w.topo->network()->reroutes.value(), "recomputes");
     sink.row("link_kill_completed", "one_x16_down",
              op->done() ? 1 : 0, "bool");
 }

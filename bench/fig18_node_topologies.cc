@@ -20,6 +20,7 @@
 
 #include "bench_util.hh"
 #include "comm/comm_group.hh"
+#include "soc/comm_world.hh"
 #include "soc/node_topology.hh"
 
 using namespace ehpsim;
@@ -90,37 +91,14 @@ void
 collectiveCase(bool quad_node, Collective coll, Algorithm algo,
                std::uint64_t bytes, bench::RowSink &sink)
 {
-    SimObject root(nullptr, "root");
-    auto topo = quad_node ? NodeTopology::mi300aQuadNode(&root)
-                          : NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    CommGroup group(topo.get(), "comm", topo->network(),
-                    topo->deviceRanks(), &eq, params);
-
-    OpHandle op;
-    switch (coll) {
-      case Collective::allReduce:
-        op = group.allReduce(0, bytes, algo);
-        break;
-      case Collective::allGather:
-        op = group.allGather(0, bytes, algo);
-        break;
-      case Collective::broadcast:
-        op = group.broadcast(0, 0, bytes, algo);
-        break;
-      default:
-        op = group.allToAll(0, bytes, algo);
-        break;
-    }
-    group.waitAll();
+    CommWorld w(quad_node ? "quad" : "octo", kFig18Comm);
+    const OpHandle op = w.run(coll, algo, bytes);
 
     const std::string series = std::string(collectiveName(coll)) +
                                (quad_node ? "_quad" : "_octo");
     const std::string x = algorithmName(op->algorithm());
     sink.row(series, x, op->algoBandwidth() / 1e9, "GB/s");
-    sink.row(series + "_busy", x, group.maxLinkUtilization(),
+    sink.row(series + "_busy", x, w.group->maxLinkUtilization(),
              "fraction");
 }
 

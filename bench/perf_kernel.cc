@@ -42,9 +42,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,7 +57,7 @@
 #include "sim/sim_object.hh"
 #include "sim/units.hh"
 #include "sim/wall_timer.hh"
-#include "soc/node_topology.hh"
+#include "soc/comm_world.hh"
 #include "sweep/sweep_runner.hh"
 
 using namespace ehpsim;
@@ -77,6 +76,34 @@ struct BenchResult
     /** All kernel ops (schedule+deschedule+reschedule+fire) per s. */
     double ops_per_sec = 0;
 };
+
+/**
+ * Run @p once @p repeat times and keep the best wall time. @p once
+ * builds its own world, fills r.det (identical in every run by
+ * construction; "events_processed" is required) and returns its
+ * wall seconds. Rates assume one schedule per fired event unless
+ * the bench overrides ops_per_sec.
+ */
+template <typename Once>
+BenchResult
+bestOf(const char *name, unsigned repeat, Once once)
+{
+    BenchResult r;
+    r.name = name;
+    r.best_seconds = -1;
+    for (unsigned rep = 0; rep < repeat; ++rep) {
+        const double s = once(r);
+        if (r.best_seconds < 0 || s < r.best_seconds)
+            r.best_seconds = s;
+    }
+    const auto processed = std::find_if(
+        r.det.begin(), r.det.end(),
+        [](const auto &kv) { return kv.first == "events_processed"; });
+    r.events_per_sec =
+        static_cast<double>(processed->second) / r.best_seconds;
+    r.ops_per_sec = 2 * r.events_per_sec;
+    return r;
+}
 
 struct Sizes
 {
@@ -122,13 +149,10 @@ class CountingEvent : public Event
 BenchResult
 benchScheduleChurn(const Sizes &sz, unsigned repeat)
 {
-    BenchResult r;
-    r.name = "schedule_churn";
-    double best = -1;
-    std::uint64_t fired = 0, ops = 0, final_tick = 0;
-    std::uint64_t processed = 0, peak_live = 0, heap_capacity = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-        fired = ops = 0;
+    std::uint64_t ops = 0;
+    BenchResult result = bestOf("schedule_churn", repeat, [&](BenchResult &r) {
+        std::uint64_t fired = 0;
+        ops = 0;
         EventQueue eq;
         std::vector<CountingEvent> events(sz.churn_events,
                                           CountingEvent(&fired));
@@ -151,24 +175,16 @@ benchScheduleChurn(const Sizes &sz, unsigned repeat)
             eq.run();
             ops += fired;
         }
-        final_tick = eq.curTick();
-        processed = eq.numProcessed();
-        peak_live = eq.peakLive();
-        heap_capacity = eq.capacity();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"events_fired", fired},
-             {"events_processed", processed},
-             {"kernel_ops", ops},
-             {"final_tick", final_tick},
-             {"peak_live", peak_live},
-             {"heap_capacity", heap_capacity}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = static_cast<double>(ops) / best;
-    return r;
+        r.det = {{"events_fired", fired},
+                 {"events_processed", eq.numProcessed()},
+                 {"kernel_ops", ops},
+                 {"final_tick", eq.curTick()},
+                 {"peak_live", eq.peakLive()},
+                 {"heap_capacity", eq.capacity()}};
+        return wt.seconds();
+    });
+    result.ops_per_sec = static_cast<double>(ops) / result.best_seconds;
+    return result;
 }
 
 /** Forward decl so the chain lambda can re-arm itself. */
@@ -187,42 +203,6 @@ hop(EventQueue &eq, std::vector<std::uint64_t> &left, std::size_t i)
     });
 }
 
-/**
- * Independent chains of one-shot callbacks, each event scheduling
- * its successor: steady-state one-shot allocation, the pattern of
- * every chunk-completion and fault event in the tree.
- */
-BenchResult
-benchOneshotStorm(const Sizes &sz, unsigned repeat)
-{
-    BenchResult r;
-    r.name = "oneshot_storm";
-    double best = -1;
-    std::uint64_t processed = 0, final_tick = 0, pool_capacity = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-        EventQueue eq;
-        std::vector<std::uint64_t> left(sz.storm_chains,
-                                        sz.storm_depth);
-        WallTimer wt;
-        for (std::size_t i = 0; i < left.size(); ++i)
-            hop(eq, left, i);
-        eq.run();
-        processed = eq.numProcessed();
-        final_tick = eq.curTick();
-        pool_capacity = eq.poolCapacity();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"events_processed", processed},
-             {"final_tick", final_tick},
-             {"pool_capacity", pool_capacity}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec; // one schedule per fire
-    return r;
-}
-
 void poolHop(EventQueue &eq, std::vector<std::uint64_t> &left,
              std::size_t i);
 
@@ -236,85 +216,79 @@ poolHop(EventQueue &eq, std::vector<std::uint64_t> &left,
     });
 }
 
-/** The same chains through the scheduleCallback() pool fast path:
- *  no std::function, no per-event allocation in steady state. */
+/** Independent chains of @p hopFn one-shot events, each event
+ *  scheduling its successor. */
+template <typename Hop>
 BenchResult
-benchOneshotStormPooled(const Sizes &sz, unsigned repeat)
+storm(const char *name, const Sizes &sz, unsigned repeat, Hop hopFn)
 {
-    BenchResult r;
-    r.name = "oneshot_storm_pooled";
-    double best = -1;
-    std::uint64_t processed = 0, final_tick = 0, pool_capacity = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
+    return bestOf(name, repeat, [&](BenchResult &r) {
         EventQueue eq;
         std::vector<std::uint64_t> left(sz.storm_chains,
                                         sz.storm_depth);
         WallTimer wt;
         for (std::size_t i = 0; i < left.size(); ++i)
-            poolHop(eq, left, i);
+            hopFn(eq, left, i);
         eq.run();
-        processed = eq.numProcessed();
-        final_tick = eq.curTick();
-        pool_capacity = eq.poolCapacity();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
+        r.det = {{"events_processed", eq.numProcessed()},
+                 {"final_tick", eq.curTick()},
+                 {"pool_capacity", eq.poolCapacity()}};
+        return wt.seconds();
+    });
+}
+
+/**
+ * Independent chains of one-shot callbacks through the
+ * std::function compat path (scheduleLambda): steady-state one-shot
+ * allocation, the pattern of every chunk-completion and fault event
+ * in the tree.
+ */
+BenchResult
+benchOneshotStorm(const Sizes &sz, unsigned repeat)
+{
+    return storm("oneshot_storm", sz, repeat, hop);
+}
+
+/** The same chains through the scheduleCallback() pool fast path:
+ *  no std::function, no per-event allocation in steady state. */
+BenchResult
+benchOneshotStormPooled(const Sizes &sz, unsigned repeat)
+{
+    return storm("oneshot_storm_pooled", sz, repeat, poolHop);
+}
+
+/** comm_iters rounds of a ring then a direct all-reduce of
+ *  comm_bytes; @return the bytes they placed on links. */
+std::uint64_t
+ringThenDirect(soc::CommWorld &w, const Sizes &sz)
+{
+    std::uint64_t lb = 0;
+    for (unsigned it = 0; it < sz.comm_iters; ++it) {
+        lb += w.run(comm::Collective::allReduce, comm::Algorithm::ring,
+                    sz.comm_bytes)
+                  ->linkBytes();
+        lb += w.run(comm::Collective::allReduce, comm::Algorithm::direct,
+                    sz.comm_bytes)
+                  ->linkBytes();
     }
-    r.det = {{"events_processed", processed},
-             {"final_tick", final_tick},
-             {"pool_capacity", pool_capacity}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec;
-    return r;
+    return lb;
 }
 
 /** Ring + direct all-reduce on the octo node (Fig. 18b). */
 BenchResult
 benchCommAllReduce(const Sizes &sz, unsigned repeat)
 {
-    BenchResult r;
-    r.name = "comm_allreduce_octo";
-    double best = -1;
-    std::uint64_t processed = 0, final_tick = 0, link_bytes = 0;
-    std::uint64_t peak_live = 0, heap_capacity = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-        SimObject root(nullptr, "root");
-        auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        comm::CommGroup group(octo.get(), "comm", octo->network(),
-                              octo->deviceRanks(), &eq, params);
+    return bestOf("comm_allreduce_octo", repeat, [&](BenchResult &r) {
+        soc::CommWorld w("octo", soc::kFig18Comm);
         WallTimer wt;
-        std::uint64_t lb = 0;
-        for (unsigned it = 0; it < sz.comm_iters; ++it) {
-            auto ring = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                        comm::Algorithm::ring);
-            group.waitAll();
-            auto direct = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                          comm::Algorithm::direct);
-            group.waitAll();
-            lb += ring->linkBytes() + direct->linkBytes();
-        }
-        processed = eq.numProcessed();
-        final_tick = eq.curTick();
-        link_bytes = lb;
-        peak_live = eq.peakLive();
-        heap_capacity = eq.capacity();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"events_processed", processed},
-             {"final_tick", final_tick},
-             {"link_bytes", link_bytes},
-             {"peak_live", peak_live},
-             {"heap_capacity", heap_capacity}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec;
-    return r;
+        const std::uint64_t link_bytes = ringThenDirect(w, sz);
+        r.det = {{"events_processed", w.eq.numProcessed()},
+                 {"final_tick", w.eq.curTick()},
+                 {"link_bytes", link_bytes},
+                 {"peak_live", w.eq.peakLive()},
+                 {"heap_capacity", w.eq.capacity()}};
+        return wt.seconds();
+    });
 }
 
 /**
@@ -329,55 +303,21 @@ benchCommAllReduce(const Sizes &sz, unsigned repeat)
 BenchResult
 benchCommAllReducePdes(const Sizes &sz, unsigned repeat)
 {
-    BenchResult r;
-    r.name = "comm_allreduce_octo_pdes";
-    double best = -1;
-    std::uint64_t processed = 0, final_tick = 0, link_bytes = 0;
-    std::uint64_t peak_live = 0, windows = 0, lookahead = 0;
-    std::uint64_t partitions = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-        SimObject root(nullptr, "root");
-        auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        comm::CommGroup group(octo.get(), "comm", octo->network(),
-                              octo->deviceRanks(), &eq, params);
-        pdes::PdesEngine engine(&eq, octo->network(), 8);
-        group.attachPdes(&engine);
+    return bestOf("comm_allreduce_octo_pdes", repeat, [&](BenchResult &r) {
+        soc::CommWorld w("octo", soc::kFig18Comm);
+        w.attachPdes(8);
+        const auto &engine = *w.engine;
         WallTimer wt;
-        std::uint64_t lb = 0;
-        for (unsigned it = 0; it < sz.comm_iters; ++it) {
-            auto ring = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                        comm::Algorithm::ring);
-            group.waitAll();
-            auto direct = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                          comm::Algorithm::direct);
-            group.waitAll();
-            lb += ring->linkBytes() + direct->linkBytes();
-        }
-        processed = engine.totalProcessed();
-        final_tick = eq.curTick();
-        link_bytes = lb;
-        peak_live = engine.peakLiveTotal();
-        windows = engine.windows();
-        lookahead = engine.lookahead();
-        partitions = engine.partitions();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"events_processed", processed},
-             {"final_tick", final_tick},
-             {"link_bytes", link_bytes},
-             {"peak_live", peak_live},
-             {"partitions", partitions},
-             {"windows", windows},
-             {"lookahead_ticks", lookahead}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec;
-    return r;
+        const std::uint64_t link_bytes = ringThenDirect(w, sz);
+        r.det = {{"events_processed", engine.totalProcessed()},
+                 {"final_tick", w.eq.curTick()},
+                 {"link_bytes", link_bytes},
+                 {"peak_live", engine.peakLiveTotal()},
+                 {"partitions", engine.partitions()},
+                 {"windows", engine.windows()},
+                 {"lookahead_ticks", engine.lookahead()}};
+        return wt.seconds();
+    });
 }
 
 /**
@@ -387,56 +327,30 @@ benchCommAllReducePdes(const Sizes &sz, unsigned repeat)
 BenchResult
 benchFaultStorm(const Sizes &sz, unsigned repeat)
 {
-    BenchResult r;
-    r.name = "fault_storm";
-    double best = -1;
-    std::uint64_t processed = 0, final_tick = 0, retries = 0;
-    std::uint64_t faults = 0, peak_live = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
-        SimObject root(nullptr, "root");
-        auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-        EventQueue eq;
-        comm::CommParams params;
-        params.chunk_bytes = 1 * MiB;
-        params.retry_timeout = 200'000'000;     // 200 us
-        params.max_retries = 16;
-        comm::CommGroup group(octo.get(), "comm", octo->network(),
-                              octo->deviceRanks(), &eq, params);
-        fault::FaultPlan plan;
-        plan.seed = 20240624;
-        plan.chunk_error_rate = 0.05;
-        plan.link_faults.push_back(
-            {"mi300x0", "mi300x1", 5'000'000, 0.5});
-        plan.link_faults.push_back(
-            {"mi300x2", "mi300x3", 9'000'000, 0.5});
-        fault::FaultInjector inj(octo.get(), "inj", plan, &eq);
-        inj.attachNetwork(octo->network());
-        inj.attachCommGroup(&group);
-        inj.arm();
+    comm::CommParams params = soc::kFig18Comm;
+    params.retry_timeout = 200'000'000;     // 200 us
+    params.max_retries = 16;
+    fault::FaultPlan plan;
+    plan.seed = 20240624;
+    plan.chunk_error_rate = 0.05;
+    plan.link_faults.push_back({"mi300x0", "mi300x1", 5'000'000, 0.5});
+    plan.link_faults.push_back({"mi300x2", "mi300x3", 9'000'000, 0.5});
+    return bestOf("fault_storm", repeat, [&](BenchResult &r) {
+        soc::CommWorld w("octo", params, &plan);
         WallTimer wt;
-        group.allReduce(0, sz.fault_bytes, comm::Algorithm::ring);
-        group.waitAll();
-        eq.run();       // drain any faults scheduled past completion
-        processed = eq.numProcessed();
-        final_tick = eq.curTick();
-        retries = static_cast<std::uint64_t>(
-            group.chunk_retries.value());
-        faults = static_cast<std::uint64_t>(
-            inj.faults_injected.value());
-        peak_live = eq.peakLive();
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"events_processed", processed},
-             {"final_tick", final_tick},
-             {"chunk_retries", retries},
-             {"faults_injected", faults},
-             {"peak_live", peak_live}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec;
-    return r;
+        w.run(comm::Collective::allReduce, comm::Algorithm::ring,
+              sz.fault_bytes);
+        w.eq.run();     // drain any faults scheduled past completion
+        r.det = {{"events_processed", w.eq.numProcessed()},
+                 {"final_tick", w.eq.curTick()},
+                 {"chunk_retries", static_cast<std::uint64_t>(
+                                       w.group->chunk_retries.value())},
+                 {"faults_injected",
+                  static_cast<std::uint64_t>(
+                      w.injector->faults_injected.value())},
+                 {"peak_live", w.eq.peakLive()}};
+        return wt.seconds();
+    });
 }
 
 /**
@@ -454,68 +368,36 @@ benchFaultStorm(const Sizes &sz, unsigned repeat)
 BenchResult
 benchCheckpointFork(const Sizes &sz, unsigned repeat)
 {
-    BenchResult r;
-    r.name = "checkpoint_fork";
     constexpr std::uint64_t kPoints = 8;
-    double best = -1;
-    std::uint64_t warm_events = 0, snapshot_bytes = 0;
-    std::uint64_t processed = 0, final_tick = 0, link_bytes = 0;
-    for (unsigned rep = 0; rep < repeat; ++rep) {
+    return bestOf("checkpoint_fork", repeat, [&](BenchResult &r) {
         WallTimer wt;
+        std::uint64_t warm_events = 0;
         std::string blob;
         {
-            SimObject root(nullptr, "root");
-            auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-            EventQueue eq;
-            comm::CommParams params;
-            params.chunk_bytes = 1 * MiB;
-            comm::CommGroup group(octo.get(), "comm",
-                                  octo->network(),
-                                  octo->deviceRanks(), &eq, params);
-            for (unsigned it = 0; it < sz.comm_iters; ++it) {
-                group.allReduce(eq.curTick(), sz.comm_bytes,
-                                comm::Algorithm::ring);
-                group.waitAll();
-            }
-            warm_events = eq.numProcessed();
-            blob = saveWorld(eq, root);
-            snapshot_bytes = blob.size();
+            soc::CommWorld w("octo", soc::kFig18Comm);
+            w.warmup(sz.comm_iters, sz.comm_bytes);
+            warm_events = w.eq.numProcessed();
+            blob = saveWorld(w.eq, w.root);
         }
-        std::uint64_t total = 0, lb = 0;
+        std::uint64_t processed = 0, link_bytes = 0, final_tick = 0;
         for (std::uint64_t pt = 0; pt < kPoints; ++pt) {
-            SimObject root(nullptr, "root");
-            auto octo = soc::NodeTopology::mi300xOctoNode(&root);
-            EventQueue eq;
-            comm::CommParams params;
-            params.chunk_bytes = 1 * MiB;
-            comm::CommGroup group(octo.get(), "comm",
-                                  octo->network(),
-                                  octo->deviceRanks(), &eq, params);
-            restoreWorld(blob, eq, root);
-            auto op = group.allReduce(eq.curTick(), sz.comm_bytes,
-                                      comm::Algorithm::direct);
-            group.waitAll();
-            total += eq.numProcessed() - warm_events;
-            lb += op->linkBytes();
-            final_tick = eq.curTick();
+            soc::CommWorld w("octo", soc::kFig18Comm);
+            restoreWorld(blob, w.eq, w.root);
+            link_bytes += w.run(comm::Collective::allReduce,
+                                comm::Algorithm::direct, sz.comm_bytes)
+                              ->linkBytes();
+            processed += w.eq.numProcessed() - warm_events;
+            final_tick = w.eq.curTick();
         }
-        processed = total;
-        link_bytes = lb;
-        const double s = wt.seconds();
-        if (best < 0 || s < best)
-            best = s;
-    }
-    r.det = {{"fork_points", kPoints},
-             {"warmup_events", warm_events},
-             {"warmup_events_skipped", (kPoints - 1) * warm_events},
-             {"snapshot_bytes", snapshot_bytes},
-             {"events_processed", processed},
-             {"final_tick", final_tick},
-             {"link_bytes", link_bytes}};
-    r.best_seconds = best;
-    r.events_per_sec = static_cast<double>(processed) / best;
-    r.ops_per_sec = 2 * r.events_per_sec;
-    return r;
+        r.det = {{"fork_points", kPoints},
+                 {"warmup_events", warm_events},
+                 {"warmup_events_skipped", (kPoints - 1) * warm_events},
+                 {"snapshot_bytes", blob.size()},
+                 {"events_processed", processed},
+                 {"final_tick", final_tick},
+                 {"link_bytes", link_bytes}};
+        return wt.seconds();
+    });
 }
 
 void
@@ -565,8 +447,17 @@ main(int argc, char **argv)
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--repeat" && i + 1 < argc) {
-            repeat = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+            const std::string v = argv[++i];
+            try {
+                repeat = static_cast<unsigned>(parseUnsigned(v, ~0u));
+                if (repeat == 0)
+                    throw std::out_of_range("'" + v +
+                                            "' is below the minimum 1");
+            } catch (const std::logic_error &e) {
+                std::fprintf(stderr, "perf_kernel: --repeat: %s\n",
+                             e.what());
+                return 2;
+            }
         } else if (arg == "--only" && i + 1 < argc) {
             only = argv[++i];
         } else {
@@ -576,8 +467,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (repeat == 0)
-        repeat = 1;
 
     const Sizes sz = sizesFor(quick);
     using BenchFn = BenchResult (*)(const Sizes &, unsigned);

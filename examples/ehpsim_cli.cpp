@@ -106,11 +106,10 @@
 #include "core/trace.hh"
 #include "serve/scenario.hh"
 #include "sim/logging.hh"
-#include "sim/pdes/pdes_engine.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
 #include "sim/units.hh"
-#include "soc/node_topology.hh"
+#include "soc/comm_world.hh"
 #include "sweep/sweep_runner.hh"
 #include "workloads/generators.hh"
 
@@ -421,7 +420,8 @@ struct FaultOptions
     std::vector<fault::LinkFault> kills;
     // See ablation_resilience: a timeout-based retransmit has to
     // cover the per-link chunk backlog to detect loss at all.
-    comm::CommParams params{.retry_timeout = 200'000'000};  // 200 us
+    comm::CommParams params{.chunk_bytes = soc::kFig18Comm.chunk_bytes,
+                            .retry_timeout = 200'000'000};  // 200 us
     unsigned pdes = 0;
     unsigned jobs = 1;
     std::string json_path;
@@ -696,86 +696,6 @@ sweepMain(int argc, char **argv)
     return runAndWrite(runner, "sweep", "ehpsim_cli", o.json_path);
 }
 
-/** The comm and fault microbench world, built in one fixed order so
- *  a forked job can rebuild it identically around a warmup
- *  checkpoint. */
-struct CommBenchWorld
-{
-    SimObject root{nullptr, "root"};
-    std::unique_ptr<soc::NodeTopology> topo;
-    EventQueue eq;
-    std::unique_ptr<comm::CommGroup> group;
-
-    /** @p params with 1 MiB chunks, on the quad or octo node. */
-    explicit CommBenchWorld(const std::string &topology,
-                            comm::CommParams params = {})
-    {
-        params.chunk_bytes = 1 * MiB;
-        topo = topology == "quad"
-                   ? soc::NodeTopology::mi300aQuadNode(&root)
-                   : soc::NodeTopology::mi300xOctoNode(&root);
-        group = std::make_unique<comm::CommGroup>(
-            topo.get(), "comm", topo->network(), topo->deviceRanks(),
-            &eq, params);
-    }
-
-    /** @p n warmup ring all-reduces of @p bytes each, run to the op
-     *  boundary (a legal checkpoint quiesce point). */
-    void
-    warmup(unsigned n, std::uint64_t bytes)
-    {
-        for (unsigned i = 0; i < n; ++i) {
-            group->allReduce(0, bytes, comm::Algorithm::ring);
-            group->waitAll();
-        }
-    }
-
-    /**
-     * Run @p n_warmup warmup all-reduces, then one @p coll of
-     * @p bytes per rank to completion; on @p pdes conservative
-     * partitions when pdes > 0. Scheduled link kills land on the
-     * coordinator queue and bump the route epoch; the engine
-     * collapses partition groups at the next window boundary, so a
-     * faulted schedule is byte-identical to the serial run's.
-     */
-    comm::OpHandle
-    run(comm::Collective coll, comm::Algorithm algo, std::uint64_t bytes,
-        unsigned pdes, unsigned n_warmup = 0,
-        std::uint64_t warmup_bytes = 0)
-    {
-        std::unique_ptr<pdes::PdesEngine> engine;
-        if (pdes > 0) {
-            engine = std::make_unique<pdes::PdesEngine>(
-                &eq, topo->network(), pdes);
-            group->attachPdes(engine.get());
-        }
-        warmup(n_warmup, warmup_bytes);
-
-        comm::OpHandle op;
-        switch (coll) {
-          case comm::Collective::allReduce:
-            op = group->allReduce(0, bytes, algo);
-            break;
-          case comm::Collective::allGather:
-            op = group->allGather(0, bytes, algo);
-            break;
-          case comm::Collective::reduceScatter:
-            op = group->reduceScatter(0, bytes, algo);
-            break;
-          case comm::Collective::broadcast:
-            op = group->broadcast(0, 0, bytes, algo);
-            break;
-          default:
-            op = group->allToAll(0, bytes, algo);
-            break;
-        }
-        group->waitAll();
-        if (engine)
-            group->attachPdes(nullptr);
-        return op;
-    }
-};
-
 /**
  * The shared warmup prefix of a forked comm sweep: load the blob
  * from --checkpoint FILE when the file exists, otherwise simulate
@@ -794,7 +714,7 @@ commWarmupBlob(const CommOptions &o)
             return readSnapshotFile(o.checkpoint_path);
         }
     }
-    CommBenchWorld w(o.topology);
+    soc::CommWorld w(o.topology, soc::kFig18Comm);
     w.warmup(o.warmup, o.warmup_bytes);
     std::string blob = saveWorld(w.eq, w.root);
     if (!o.checkpoint_path.empty()) {
@@ -818,12 +738,14 @@ runCommJob(const CommOptions &o, comm::Algorithm algo,
            std::uint64_t bytes, const std::string *fork_blob,
            json::JsonWriter &jw)
 {
-    CommBenchWorld w(o.topology);
+    soc::CommWorld w(o.topology, soc::kFig18Comm);
     if (fork_blob)
         restoreWorld(*fork_blob, w.eq, w.root);
+    w.attachPdes(o.pdes);
+    if (!fork_blob)
+        w.warmup(o.warmup, o.warmup_bytes);
     const comm::Collective coll = collectiveFor(o.collective);
-    const auto op = w.run(coll, algo, bytes, o.pdes,
-                          fork_blob ? 0 : o.warmup, o.warmup_bytes);
+    const auto op = w.run(coll, algo, bytes);
     const comm::CommGroup &group = *w.group;
 
     jw.beginObject();
@@ -897,13 +819,10 @@ runFaultJob(const FaultOptions &o, comm::Algorithm algo,
             std::uint64_t bytes, const fault::FaultPlan &plan,
             json::JsonWriter &jw)
 {
-    CommBenchWorld w(o.topology, o.params);
-    fault::FaultInjector injector(w.topo.get(), "inj", plan, &w.eq);
-    injector.attachNetwork(w.topo->network());
-    injector.attachCommGroup(w.group.get());
-    injector.arm();
+    soc::CommWorld w(o.topology, o.params, &plan);
+    w.attachPdes(o.pdes);
     const comm::Collective coll = collectiveFor(o.collective);
-    const auto op = w.run(coll, algo, bytes, o.pdes);
+    const auto op = w.run(coll, algo, bytes);
     const comm::CommGroup &group = *w.group;
     const fabric::Network &net = *w.topo->network();
 
@@ -917,7 +836,7 @@ runFaultJob(const FaultOptions &o, comm::Algorithm algo,
     jw.kv("completed", op->done() ? 1.0 : 0.0);
     jw.kv("seconds", op->seconds());
     jw.kv("algbw_gbps", op->algoBandwidth() / 1e9);
-    jw.kv("faults_injected", injector.faults_injected.value());
+    jw.kv("faults_injected", w.injector->faults_injected.value());
     jw.kv("chunk_retries", group.chunk_retries.value());
     jw.kv("retry_wait_ticks", group.retry_wait_ticks.value());
     jw.kv("links_killed", net.links_killed.value());
@@ -1059,8 +978,9 @@ raceMain(int argc, char **argv)
     // batched completions are reorderable.
     runner.addJob("comm_allreduce_octo", [&](json::JsonWriter &jw) {
         runRaceScenario("comm_allreduce_octo", trackers[0], [&] {
-            CommBenchWorld("octo").run(comm::Collective::allReduce,
-                                       comm::Algorithm::ring, o.bytes, 0);
+            soc::CommWorld("octo", soc::kFig18Comm)
+                .run(comm::Collective::allReduce, comm::Algorithm::ring,
+                     o.bytes);
         }, jw);
     });
     // A fixed-seed TP-decode serving run (no fault plan: scheduled

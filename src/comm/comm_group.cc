@@ -829,89 +829,28 @@ CollectiveOp::setOnComplete(std::function<void(Tick)> fn)
 }
 
 OpHandle
-CommGroup::allReduce(Tick when, std::uint64_t bytes, Algorithm algo)
+CommGroup::collective(Collective kind, Tick when, std::uint64_t bytes,
+                      Algorithm algo, unsigned root)
 {
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::allReduce;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
-}
-
-OpHandle
-CommGroup::allGather(Tick when, std::uint64_t bytes, Algorithm algo)
-{
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::allGather;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
-}
-
-OpHandle
-CommGroup::reduceScatter(Tick when, std::uint64_t bytes,
-                         Algorithm algo)
-{
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::reduceScatter;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
-    return start(when, op);
-}
-
-OpHandle
-CommGroup::broadcast(Tick when, unsigned root, std::uint64_t bytes,
-                     Algorithm algo)
-{
-    if (root >= numRanks())
+    if (kind == Collective::sendRecv)
+        fatal("CommGroup '", name(), "': sendRecv names a source and a "
+              "destination rank; call sendRecv()");
+    if (kind == Collective::broadcast && root >= numRanks())
         fatal("broadcast root ", root, " out of range (", numRanks(),
               " ranks)");
     auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::broadcast;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    op->data_bytes_ = bytes;
+    op->kind_ = kind;
+    op->algo_ = algo == Algorithm::automatic ? choose(kind, bytes) : algo;
+    // All-to-all moves @p bytes from every rank to every other rank.
+    const unsigned n = numRanks();
+    if (kind != Collective::allToAll)
+        op->data_bytes_ = bytes;
+    else if (n >= 2)
+        op->data_bytes_ = bytes * n * static_cast<std::uint64_t>(n - 1);
     if (op->algo_ == Algorithm::ring)
         buildRing(*op, bytes, root);
     else
         buildDirect(*op, bytes, root);
-    return start(when, op);
-}
-
-OpHandle
-CommGroup::allToAll(Tick when, std::uint64_t bytes, Algorithm algo)
-{
-    auto op = std::make_shared<CollectiveOp>();
-    op->kind_ = Collective::allToAll;
-    op->algo_ = algo == Algorithm::automatic
-                    ? choose(op->kind_, bytes)
-                    : algo;
-    const unsigned n = numRanks();
-    op->data_bytes_ =
-        n < 2 ? 0 : bytes * n * static_cast<std::uint64_t>(n - 1);
-    if (op->algo_ == Algorithm::ring)
-        buildRing(*op, bytes, 0);
-    else
-        buildDirect(*op, bytes, 0);
     return start(when, op);
 }
 

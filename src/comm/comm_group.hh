@@ -239,24 +239,50 @@ class CommGroup : public SimObject
     Algorithm choose(Collective coll, std::uint64_t bytes) const;
 
     /**
-     * @{
-     * Start a collective no earlier than @p when (clamped to the
-     * queue's current tick). Non-blocking: transfers are scheduled
-     * as events; drive the queue (waitAll()) to make progress.
-     * @p bytes is the per-rank buffer size: all-gather gathers
-     * @p bytes in total (each rank contributes bytes/N), all-to-all
-     * sends @p bytes from every rank to every other rank.
+     * Start collective @p kind (any but sendRecv) no earlier than
+     * @p when (clamped to the queue's current tick). Non-blocking:
+     * transfers are scheduled as events; drive the queue (waitAll())
+     * to make progress. @p bytes is the per-rank buffer size:
+     * all-gather gathers @p bytes in total (each rank contributes
+     * bytes/N), all-to-all sends @p bytes from every rank to every
+     * other rank. @p root is the broadcast source; the other kinds
+     * ignore it.
      */
-    OpHandle allReduce(Tick when, std::uint64_t bytes,
-                       Algorithm algo = Algorithm::automatic);
-    OpHandle allGather(Tick when, std::uint64_t bytes,
-                       Algorithm algo = Algorithm::automatic);
-    OpHandle reduceScatter(Tick when, std::uint64_t bytes,
-                           Algorithm algo = Algorithm::automatic);
-    OpHandle broadcast(Tick when, unsigned root, std::uint64_t bytes,
-                       Algorithm algo = Algorithm::automatic);
-    OpHandle allToAll(Tick when, std::uint64_t bytes,
-                      Algorithm algo = Algorithm::automatic);
+    OpHandle collective(Collective kind, Tick when, std::uint64_t bytes,
+                        Algorithm algo = Algorithm::automatic,
+                        unsigned root = 0);
+
+    /** @{ collective() of one kind */
+    OpHandle
+    allReduce(Tick when, std::uint64_t bytes,
+              Algorithm algo = Algorithm::automatic)
+    {
+        return collective(Collective::allReduce, when, bytes, algo);
+    }
+    OpHandle
+    allGather(Tick when, std::uint64_t bytes,
+              Algorithm algo = Algorithm::automatic)
+    {
+        return collective(Collective::allGather, when, bytes, algo);
+    }
+    OpHandle
+    reduceScatter(Tick when, std::uint64_t bytes,
+                  Algorithm algo = Algorithm::automatic)
+    {
+        return collective(Collective::reduceScatter, when, bytes, algo);
+    }
+    OpHandle
+    broadcast(Tick when, unsigned root, std::uint64_t bytes,
+              Algorithm algo = Algorithm::automatic)
+    {
+        return collective(Collective::broadcast, when, bytes, algo, root);
+    }
+    OpHandle
+    allToAll(Tick when, std::uint64_t bytes,
+             Algorithm algo = Algorithm::automatic)
+    {
+        return collective(Collective::allToAll, when, bytes, algo);
+    }
     /** @} */
 
     /** Point-to-point: @p bytes from rank @p src to rank @p dst. */

@@ -21,6 +21,7 @@ PdesEngine::PdesEngine(EventQueue *coordinator, fabric::Network *net,
     for (unsigned p = 0; p < nparts_; ++p)
         queues_.push_back(std::make_unique<EventQueue>());
     outbox_.resize(nparts_);
+    failures_.resize(nparts_);
     group_of_.assign(nparts_, 0);
 
     const unsigned hw =
@@ -149,6 +150,27 @@ PdesEngine::runGroup(std::size_t gi)
 }
 
 void
+PdesEngine::runStripe(unsigned tid)
+{
+    for (std::size_t gi = tid; gi < groups_.size(); gi += nworkers_) {
+        try {
+            runGroup(gi);
+        } catch (...) {
+            // Park it: throwing on would end a worker thread (and the
+            // process) or unwind the coordinator while workers still
+            // run. runWindow() rethrows after the barrier. Members
+            // step in tick order, so the failed event's tick is the
+            // latest member tick.
+            Tick when = 0;
+            for (const unsigned p : groups_[gi])
+                when = std::max(when, queues_[p]->curTick());
+            failures_[gi] = {when, std::current_exception()};
+            window_failed_.store(true, std::memory_order_relaxed);
+        }
+    }
+}
+
+void
 PdesEngine::workerMain(unsigned tid)
 {
     std::uint64_t seen = 0;
@@ -159,9 +181,7 @@ PdesEngine::workerMain(unsigned tid)
             std::this_thread::yield();
         }
         ++seen;
-        for (std::size_t gi = tid; gi < groups_.size();
-             gi += nworkers_)
-            runGroup(gi);
+        runStripe(tid);
         done_.fetch_add(1, std::memory_order_release);
     }
 }
@@ -181,13 +201,28 @@ PdesEngine::runWindow(Tick bound)
 {
     window_bound_ = bound;
     round_.fetch_add(1, std::memory_order_release);
-    for (std::size_t gi = 0; gi < groups_.size(); gi += nworkers_)
-        runGroup(gi);
+    runStripe(0);
     expected_done_ += nworkers_ - 1;
     while (done_.load(std::memory_order_acquire) < expected_done_)
         std::this_thread::yield();
+    if (window_failed_.load(std::memory_order_relaxed))
+        rethrowFirstFailure();
     drainOutboxes();
     ++windows_;
+}
+
+void
+PdesEngine::rethrowFirstFailure()
+{
+    const Failure *first = nullptr;
+    for (const Failure &f : failures_) {
+        if (f.error && (!first || f.when < first->when))
+            first = &f;
+    }
+    const std::exception_ptr error = first->error;
+    failures_.assign(failures_.size(), Failure{});
+    window_failed_.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(error);
 }
 
 Tick

@@ -54,6 +54,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -158,6 +159,13 @@ class PdesEngine
      * Like run(), but stop as soon as @p done() turns true (checked
      * with workers parked). Panics if every queue and mailbox
      * drains while @p done() is still false.
+     *
+     * An event that throws (a fatal()) on any thread ends the run:
+     * the window finishes with every worker parked, then the
+     * earliest failure — least tick, group index on ties — is
+     * rethrown here. Without a tie that is the one the serial
+     * kernel reports; with one, it is still the same on every run
+     * at a given partition count.
      */
     Tick runUntil(const std::function<bool()> &done);
 
@@ -205,9 +213,17 @@ class PdesEngine
      *  window bound. */
     void runGroup(std::size_t gi);
 
+    /** runGroup() every group of thread @p tid's stripe (the
+     *  coordinator is 0), parking any failure in failures_. */
+    void runStripe(unsigned tid);
+
     void workerMain(unsigned tid);
 
     void drainOutboxes();
+
+    /** Rethrow the earliest failure of the window just run. Runs
+     *  with workers parked. */
+    [[noreturn]] void rethrowFirstFailure();
 
     EventQueue *coord_;
     fabric::Network *net_;
@@ -228,6 +244,17 @@ class PdesEngine
     /** @} */
 
     std::uint64_t windows_ = 0;
+
+    /** An event that threw inside a window, parked by its group. */
+    struct Failure
+    {
+        Tick when = 0;
+        std::exception_ptr error;
+    };
+    /** Indexed by group; each slot is written only by the thread
+     *  running that group, and read after the window barrier. */
+    std::vector<Failure> failures_;
+    std::atomic<bool> window_failed_{false};
 
     /** @{ worker pool: round_ publishes window_bound_ and the
      *  placement (release); workers acquire it, run their group

@@ -13,6 +13,7 @@
 
 #include "comm/comm_group.hh"
 #include "sim/rng.hh"
+#include "soc/comm_world.hh"
 #include "soc/node_topology.hh"
 #include "sweep/sweep_runner.hh"
 
@@ -51,14 +52,8 @@ makeRingOnlyQuad(SimObject *root)
 OpHandle
 quadAllReduce(std::uint64_t bytes, Algorithm algo)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
-    auto op = group.allReduce(0, bytes, algo);
-    group.waitAll();
-    return op;
+    CommWorld w("quad", fineGrained());
+    return w.run(Collective::allReduce, algo, bytes);
 }
 
 } // anonymous namespace
@@ -122,14 +117,9 @@ TEST(CommContention, ConcurrentAllReducesSlowEachOther)
     const double t_solo = solo->seconds();
     ASSERT_GT(t_solo, 0.0);
 
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
-    auto a = group.allReduce(0, bytes, Algorithm::ring);
-    auto b = group.allReduce(0, bytes, Algorithm::ring);
-    group.waitAll();
+    CommWorld w("quad", fineGrained());
+    auto a = w.group->allReduce(0, bytes, Algorithm::ring);
+    auto b = w.run(Collective::allReduce, Algorithm::ring, bytes);
     ASSERT_TRUE(a->done());
     ASSERT_TRUE(b->done());
 
@@ -151,20 +141,13 @@ TEST(CommContention, DisjointPairsDoNotContend)
     const std::uint64_t bytes = 32 * MiB;
     Tick t_solo = 0;
     {
-        SimObject root(nullptr, "root");
-        auto node = NodeTopology::mi300aQuadNode(&root);
-        EventQueue eq;
-        CommGroup group(node.get(), "comm", node->network(),
-                        node->deviceRanks(), &eq);
-        auto op = group.sendRecv(0, 0, 1, bytes);
-        group.waitAll();
+        CommWorld w("quad");
+        auto op = w.group->sendRecv(0, 0, 1, bytes);
+        w.group->waitAll();
         t_solo = op->finishTick();
     }
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w("quad");
+    CommGroup &group = *w.group;
     auto a = group.sendRecv(0, 0, 1, bytes);
     auto b = group.sendRecv(0, 2, 3, bytes);
     group.waitAll();
@@ -178,12 +161,8 @@ TEST(CommContention, DisjointPairsDoNotContend)
 
 TEST(CommChoose, SizeAndTopologyDriveSelection)
 {
-    SimObject root(nullptr, "root");
-    EventQueue eq;
-
-    auto quad = NodeTopology::mi300aQuadNode(&root);
-    CommGroup on_full(quad.get(), "comm", quad->network(),
-                      quad->deviceRanks(), &eq);
+    CommWorld quad("quad");
+    const CommGroup &on_full = *quad.group;
     EXPECT_TRUE(on_full.fullyConnected());
     // Fully connected: direct wins at every size.
     EXPECT_EQ(on_full.choose(Collective::allReduce, 1 * KiB),
@@ -191,9 +170,9 @@ TEST(CommChoose, SizeAndTopologyDriveSelection)
     EXPECT_EQ(on_full.choose(Collective::allReduce, 256 * MiB),
               Algorithm::direct);
 
+    SimObject root(nullptr, "root");
     auto ring = makeRingOnlyQuad(&root);
-    CommGroup on_ring(ring.get(), "comm", ring->network(),
-                      ring->deviceRanks(), &eq);
+    CommGroup &on_ring = *ring->commGroup();
     EXPECT_FALSE(on_ring.fullyConnected());
     // Sparse: small payloads go direct (latency), large go ring.
     EXPECT_EQ(on_ring.choose(Collective::allReduce, 1 * KiB),
@@ -210,11 +189,8 @@ TEST(CommChoose, SizeAndTopologyDriveSelection)
 
 TEST(CommCollectives, EveryKindCompletesAndCounts)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w("quad");
+    CommGroup &group = *w.group;
 
     const std::uint64_t bytes = 8 * MiB;
     auto ag = group.allGather(0, bytes);
@@ -245,11 +221,8 @@ TEST(CommCollectives, EveryKindCompletesAndCounts)
 
 TEST(CommCollectives, SmallSendRecvPaysLinkLatency)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w("quad");
+    CommGroup &group = *w.group;
     auto op = group.sendRecv(0, 0, 1, 64);
     group.waitAll();
     // One hop on a 30 ns serdes IF link dominates 64 B of
@@ -260,11 +233,8 @@ TEST(CommCollectives, SmallSendRecvPaysLinkLatency)
 
 TEST(CommCollectives, ZeroBytesAndBadRanksAreHandled)
 {
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq);
+    CommWorld w("quad");
+    CommGroup &group = *w.group;
     auto op = group.allReduce(1000, 0);
     EXPECT_TRUE(op->done());
     EXPECT_EQ(op->finishTick(), op->startTick());
@@ -272,6 +242,10 @@ TEST(CommCollectives, ZeroBytesAndBadRanksAreHandled)
                  std::runtime_error);
     EXPECT_THROW(group.sendRecv(0, 0, 9, 1 * MiB),
                  std::runtime_error);
+    // sendRecv names two ranks: the one-rank-set entry refuses it.
+    EXPECT_THROW(group.collective(Collective::sendRecv, 0, 1 * MiB),
+                 std::runtime_error);
+    EXPECT_THROW(CommWorld("hex"), std::runtime_error);
 }
 
 TEST(CommFaults, RouteCacheFollowsMidSimReroute)
@@ -279,9 +253,12 @@ TEST(CommFaults, RouteCacheFollowsMidSimReroute)
     SimObject root(nullptr, "root");
     auto node = makeRingOnlyQuad(&root);
     EventQueue eq;
+    // 1 MiB chunks, so the rerouted sendRecv below is a pipeline.
+    const fabric::NodeId r0 = node->nodeId(0);
+    const fabric::NodeId r1 = node->nodeId(1);
     CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
-    const auto ranks = node->deviceRanks();
+                    {r0, r1, node->nodeId(2), node->nodeId(3)}, &eq,
+                    fineGrained());
     // Warm the group's per-pair LinkRoute cache with a collective.
     auto first = group.allReduce(0, 4 * MiB, Algorithm::ring);
     group.waitAll();
@@ -290,8 +267,8 @@ TEST(CommFaults, RouteCacheFollowsMidSimReroute)
     // LinkRoute pointer in the group is stale the moment the route
     // epoch moves; the next collective must re-resolve and pipeline
     // the long way round instead of replaying a dead route.
-    node->network()->killLink(ranks[0], ranks[1]);
-    EXPECT_EQ(node->network()->hopCount(ranks[0], ranks[1]), 3u);
+    node->network()->killLink(r0, r1);
+    EXPECT_EQ(node->network()->hopCount(r0, r1), 3u);
     auto second = group.sendRecv(eq.curTick(), 0, 1, 4 * MiB);
     group.waitAll();
     ASSERT_TRUE(second->done());
@@ -305,18 +282,14 @@ TEST(CommOccupancy, SparseAllReducesKeepLinkHistoryBounded)
     // sim time. The sender retires each link's occupancy history
     // behind its clock, so a link holds the last step's pages, not
     // one stranded page per step.
-    SimObject root(nullptr, "root");
-    auto node = NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, fineGrained());
+    CommWorld w("octo", fineGrained());
     for (int step = 0; step < 64; ++step) {
-        group.allReduce(static_cast<Tick>(step) * 1'000'000'000,
-                        512 * KiB, Algorithm::ring);
-        group.waitAll();
+        w.group->allReduce(static_cast<Tick>(step) * 1'000'000'000,
+                           512 * KiB, Algorithm::ring);
+        w.group->waitAll();
     }
     std::size_t used = 0;
-    for (const fabric::Link *l : node->network()->allLinks()) {
+    for (const fabric::Link *l : w.topo->network()->allLinks()) {
         EXPECT_LE(l->occupancyPages(), 2u) << l->name();
         if (l->transfers.value() > 0)
             ++used;
@@ -446,22 +419,14 @@ runStatAggregationSweep(unsigned jobs)
         runner.addJob(
             "stats/" + std::to_string(j),
             [bytes](json::JsonWriter &jw) {
-                SimObject root(nullptr, "root");
-                auto node = NodeTopology::mi300aQuadNode(&root);
-                EventQueue eq;
-                CommGroup group(node.get(), "comm", node->network(),
-                                node->deviceRanks(), &eq,
-                                fineGrained());
-                group.allReduce(0, bytes, Algorithm::ring);
-                group.waitAll();
-                group.allGather(eq.curTick(), bytes,
-                                Algorithm::direct);
-                group.waitAll();
+                CommWorld w("quad", fineGrained());
+                w.run(Collective::allReduce, Algorithm::ring, bytes);
+                w.run(Collective::allGather, Algorithm::direct, bytes);
                 jw.beginObject();
                 jw.key("comm");
-                group.dumpJsonStats(jw);
+                w.group->dumpJsonStats(jw);
                 jw.key("node");
-                node->dumpJsonStats(jw);
+                w.topo->dumpJsonStats(jw);
                 jw.endObject();
             });
     }
@@ -499,12 +464,8 @@ runRetrySweep(unsigned jobs)
         const std::uint64_t bytes = (8 + 4 * (j % 3)) * MiB;
         runner.addJob(
             "retry/" + std::to_string(j), [j, bytes](json::JsonWriter &jw) {
-                SimObject root(nullptr, "root");
-                auto node = NodeTopology::mi300aQuadNode(&root);
-                EventQueue eq;
-                CommGroup group(node.get(), "comm", node->network(),
-                                node->deviceRanks(), &eq,
-                                fineGrained());
+                CommWorld w("quad", fineGrained());
+                CommGroup &group = *w.group;
                 group.setChunkFaultHook(
                     [j](const CommGroup::ChunkAttempt &a) {
                         return counterHashUnit(1000 + j, a.op_id,

@@ -9,15 +9,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "comm/comm_group.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "gpu/xcd.hh"
 #include "mem/hbm_subsystem.hh"
+#include "soc/comm_world.hh"
 #include "soc/node_topology.hh"
 #include "sweep/sweep_runner.hh"
 
@@ -52,23 +55,6 @@ fineGrained()
     p.chunk_bytes = 1 * MiB;
     return p;
 }
-
-/** Fig. 18b octo node with a comm group over its eight sockets. */
-struct OctoComm
-{
-    SimObject root{nullptr, "root"};
-    std::unique_ptr<soc::NodeTopology> node;
-    EventQueue eq;
-    std::unique_ptr<CommGroup> group;
-
-    explicit OctoComm(const CommParams &params = fineGrained())
-        : node(soc::NodeTopology::mi300xOctoNode(&root))
-    {
-        group = std::make_unique<CommGroup>(
-            node.get(), "comm", node->network(), node->deviceRanks(),
-            &eq, params);
-    }
-};
 
 /** Small two-stack HBM config so blackout tests stay fast. */
 mem::HbmSubsystemParams
@@ -202,32 +188,27 @@ TEST(FaultReroute, OctoLinkKillMidAllReduceDegradesButCompletes)
     double base_bw = 0;
     Tick base_finish = 0;
     {
-        OctoComm c;
-        auto op = c.group->allReduce(0, bytes, Algorithm::direct);
-        c.group->waitAll();
+        soc::CommWorld c("octo", fineGrained());
+        auto op = c.run(Collective::allReduce, Algorithm::direct, bytes);
         base_bw = op->algoBandwidth();
         base_finish = op->finishTick();
     }
     ASSERT_GT(base_bw, 0.0);
 
-    OctoComm c;
     fault::FaultPlan plan;
     plan.seed = 42;
     plan.chunk_error_rate = 0.02;
     plan.link_faults.push_back(
         {"mi300x0", "mi300x1", base_finish / 4, 0.0});
-    fault::FaultInjector inj(c.node.get(), "inj", plan, &c.eq);
-    inj.attachNetwork(c.node->network());
-    inj.attachCommGroup(c.group.get());
-    inj.arm();
+    soc::CommWorld c("octo", fineGrained(), &plan);
+    const fault::FaultInjector &inj = *c.injector;
 
-    auto op = c.group->allReduce(0, bytes, Algorithm::direct);
-    c.group->waitAll();
+    auto op = c.run(Collective::allReduce, Algorithm::direct, bytes);
     ASSERT_TRUE(op->done());
 
-    fabric::Network *net = c.node->network();
-    const auto r0 = c.node->nodeId(0);
-    const auto r1 = c.node->nodeId(1);
+    fabric::Network *net = c.topo->network();
+    const auto r0 = c.topo->nodeId(0);
+    const auto r1 = c.topo->nodeId(1);
     EXPECT_DOUBLE_EQ(net->links_killed.value(), 1.0);
     EXPECT_FALSE(net->linkAlive(r0, r1));
     EXPECT_TRUE(net->reachable(r0, r1));
@@ -318,17 +299,13 @@ TEST(FaultDerate, HalvedBandwidthDoublesSerialization)
 
 TEST(FaultRetry, BackoffGrowsExponentially)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 1000;
     p.backoff_base = 2.0;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
-    EXPECT_EQ(group.backoffTicks(1), 1000u);
-    EXPECT_EQ(group.backoffTicks(2), 2000u);
-    EXPECT_EQ(group.backoffTicks(4), 8000u);
+    const soc::CommWorld w("quad", p);
+    EXPECT_EQ(w.group->backoffTicks(1), 1000u);
+    EXPECT_EQ(w.group->backoffTicks(2), 2000u);
+    EXPECT_EQ(w.group->backoffTicks(4), 8000u);
 }
 
 TEST(FaultRetry, BackoffSaturatesInsteadOfOverflowing)
@@ -337,15 +314,12 @@ TEST(FaultRetry, BackoffSaturatesInsteadOfOverflowing)
     // be cast to Tick unchecked; past 2^63 that double -> unsigned
     // conversion is undefined behavior. Deep retry policies must
     // clamp at maxBackoff and stay monotone.
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 1'000'000'000;    // 1 ms base
     p.backoff_base = 10.0;
     p.max_retries = 64;                 // 1 ms * 10^63 >> Tick range
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    const soc::CommWorld w("quad", p);
+    const CommGroup &group = *w.group;
     EXPECT_EQ(group.backoffTicks(1), 1'000'000'000u);
     EXPECT_EQ(group.backoffTicks(2), 10'000'000'000u);
     EXPECT_EQ(group.backoffTicks(65), CommGroup::maxBackoff);
@@ -378,13 +352,10 @@ TEST(FaultRetry, RejectsBadRetryParams)
 
 TEST(FaultRetry, FirstAttemptFailuresRetryAndComplete)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.retry_timeout = 5000;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    soc::CommWorld w("quad", p);
+    CommGroup &group = *w.group;
     // Every chunk fails exactly its first attempt.
     group.setChunkFaultHook([](const CommGroup::ChunkAttempt &a) {
         return a.attempt == 1;
@@ -404,14 +375,11 @@ TEST(FaultRetry, FirstAttemptFailuresRetryAndComplete)
 
 TEST(FaultRetry, ExhaustionFatalsWithNodeNames)
 {
-    SimObject root(nullptr, "root");
-    auto node = soc::NodeTopology::mi300aQuadNode(&root);
-    EventQueue eq;
     CommParams p = fineGrained();
     p.max_retries = 2;
     p.retry_timeout = 100;
-    CommGroup group(node.get(), "comm", node->network(),
-                    node->deviceRanks(), &eq, p);
+    soc::CommWorld w("quad", p);
+    CommGroup &group = *w.group;
     group.setChunkFaultHook([](const CommGroup::ChunkAttempt &) {
         return true;    // the link never recovers
     });
@@ -424,6 +392,86 @@ TEST(FaultRetry, ExhaustionFatalsWithNodeNames)
         EXPECT_NE(msg.find("max_retries"), std::string::npos) << msg;
         EXPECT_NE(msg.find("mi300a0"), std::string::npos) << msg;
         EXPECT_NE(msg.find("mi300a1"), std::string::npos) << msg;
+    }
+}
+
+TEST(FaultRetry, ExhaustionUnderPdesTearsDownCleanly)
+{
+    // The fatal leaves the op in flight on the engine's partition
+    // queue: destroying the world must neither detach (which would
+    // fatal again) nor touch the group after it is gone.
+    CommParams p = fineGrained();
+    p.max_retries = 1;
+    p.retry_timeout = 100;
+    soc::CommWorld w("quad", p);
+    w.group->setChunkFaultHook([](const CommGroup::ChunkAttempt &) {
+        return true;
+    });
+    w.attachPdes(1);
+    EXPECT_THROW(w.run(Collective::allReduce, Algorithm::ring, 4 * MiB),
+                 std::runtime_error);
+}
+
+TEST(FaultRetry, CoordinatorExhaustionJoinsWorkersBeforeTeardown)
+{
+    // Only chunks stepped on the coordinator thread fail, so the
+    // fatal is thrown there mid-window while the worker thread is
+    // still stepping the other partition (slowed down in the hook).
+    // The engine parks the failure until the window barrier, and the
+    // world destroys the engine (joining its workers) before the
+    // group; either alone keeps the worker off a freed group and
+    // hook, which ASan/TSan would catch.
+    const std::thread::id coordinator = std::this_thread::get_id();
+    CommParams p = fineGrained();
+    p.max_retries = 1;
+    p.retry_timeout = 100;
+    auto run = [&] {
+        soc::CommWorld w("quad", p);
+        w.group->setChunkFaultHook(
+            [coordinator](const CommGroup::ChunkAttempt &) {
+                if (std::this_thread::get_id() == coordinator)
+                    return true;
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(20));
+                return false;
+            });
+        w.attachPdes(2);
+        w.run(Collective::allReduce, Algorithm::ring, 4 * MiB);
+    };
+    EXPECT_THROW(run(), std::runtime_error);
+}
+
+TEST(FaultRetry, ExhaustionOnPdesWorkersFatalsOnTheCaller)
+{
+    // Chunks exhaust their retries on every partition, workers
+    // included, often at the same tick. The engine parks each
+    // failure until the window barrier and rethrows one on the
+    // calling thread: a catchable fatal, the same on every run,
+    // instead of a worker thread terminating the process.
+    fault::FaultPlan plan;
+    plan.seed = 1;
+    plan.chunk_error_rate = 0.9;
+    plan.validate();
+    CommParams p = fineGrained();
+    p.max_retries = 1;
+    auto fatalMessage = [&](Algorithm algo, unsigned pdes) {
+        soc::CommWorld w("quad", p, &plan);
+        w.attachPdes(pdes);
+        try {
+            w.run(Collective::allReduce, algo, 16 * MiB);
+        } catch (const std::runtime_error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no fatal");
+    };
+    for (const Algorithm algo : {Algorithm::ring, Algorithm::direct}) {
+        for (const unsigned n : {1u, 2u, 8u}) {
+            const std::string first = fatalMessage(algo, n);
+            EXPECT_NE(first.find("max_retries=1 exhausted"),
+                      std::string::npos)
+                << "pdes=" << n << ": " << first;
+            EXPECT_EQ(fatalMessage(algo, n), first) << "pdes=" << n;
+        }
     }
 }
 
@@ -540,26 +588,13 @@ runFaultSweep(unsigned jobs)
                                      algorithmName(algo) + "/" +
                                      std::to_string(rate);
             runner.addJob(name, [algo, rate](json::JsonWriter &jw) {
-                SimObject root(nullptr, "root");
-                auto node = soc::NodeTopology::mi300aQuadNode(&root);
-                EventQueue eq;
-                CommGroup group(node.get(), "comm", node->network(),
-                                node->deviceRanks(), &eq,
-                                fineGrained());
-
                 fault::FaultPlan plan;
                 plan.seed = 1234;
                 plan.chunk_error_rate = rate;
                 plan.link_faults.push_back(
                     {"mi300a0", "mi300a1", 50'000'000, 0.0});
-                fault::FaultInjector inj(node.get(), "inj", plan,
-                                         &eq);
-                inj.attachNetwork(node->network());
-                inj.attachCommGroup(&group);
-                inj.arm();
-
-                auto op = group.allReduce(0, 16 * MiB, algo);
-                group.waitAll();
+                soc::CommWorld w("quad", fineGrained(), &plan);
+                auto op = w.run(Collective::allReduce, algo, 16 * MiB);
 
                 jw.beginObject();
                 jw.kv("algorithm", algorithmName(op->algorithm()));
@@ -567,11 +602,11 @@ runFaultSweep(unsigned jobs)
                 jw.kv("finish_ticks",
                       static_cast<double>(op->finishTick()));
                 jw.kv("algbw_gbps", op->algoBandwidth() / 1e9);
-                jw.kv("chunk_retries", group.chunk_retries.value());
+                jw.kv("chunk_retries", w.group->chunk_retries.value());
                 jw.kv("faults_injected",
-                      inj.faults_injected.value());
+                      w.injector->faults_injected.value());
                 jw.key("net");
-                node->network()->dumpJsonStats(jw);
+                w.topo->network()->dumpJsonStats(jw);
                 jw.endObject();
             });
         }

@@ -12,8 +12,8 @@
  * stat, which localizes the offending event ordering.
  *
  * Three workloads cover the three synchronization regimes:
- *  - the octo all-reduce: steady-state parallel windows, every
- *    partition group independent;
+ *  - every octo-node collective, ring and direct: steady-state
+ *    parallel windows, every partition group independent;
  *  - a fixed-seed TP-2 serving run: coordinator-heavy (the batcher
  *    lives on the serial queue) with bursts of partitioned chunks;
  *  - a fault storm with a mid-run link kill: the placement collapse
@@ -25,14 +25,13 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "comm/comm_group.hh"
-#include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "serve/scenario.hh"
 #include "sim/json.hh"
-#include "sim/pdes/pdes_engine.hh"
-#include "soc/node_topology.hh"
+#include "soc/comm_world.hh"
 
 using namespace ehpsim;
 
@@ -47,39 +46,31 @@ struct RunRecord
     Tick final_tick = 0;
 };
 
-/** Ring + direct all-reduce over the Fig. 18b octo node; pdes == 0
- *  runs the serial kernel. */
+/** @p w's complete observable history, read once its ops drained. */
 RunRecord
-octoAllReduceRun(unsigned pdes)
+record(const soc::CommWorld &w)
 {
-    SimObject root(nullptr, "root");
-    auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes);
-        group.attachPdes(engine.get());
-    }
-
-    group.allReduce(0, 4 * MiB, comm::Algorithm::ring);
-    group.allReduce(0, 4 * MiB, comm::Algorithm::direct);
-    group.waitAll();
-    if (engine)
-        group.attachPdes(nullptr);
-
     RunRecord rec;
-    rec.final_tick = eq.curTick();
+    rec.final_tick = w.eq.curTick();
     std::ostringstream ss;
     json::JsonWriter jw(ss);
-    root.dumpJsonStats(jw);
+    w.root.dumpJsonStats(jw);
     rec.stats = ss.str();
     return rec;
+}
+
+/** Two concurrent @p coll of 4 MiB (contending for the same links)
+ *  over the Fig. 18b octo node, the first with @p first and the
+ *  second with @p second; pdes == 0 runs the serial kernel. */
+RunRecord
+octoCollectiveRun(comm::Collective coll, comm::Algorithm first,
+                  comm::Algorithm second, unsigned pdes)
+{
+    soc::CommWorld w("octo", soc::kFig18Comm);
+    w.attachPdes(pdes);
+    w.group->collective(coll, 0, 4 * MiB, first);
+    w.run(coll, second, 4 * MiB);
+    return record(w);
 }
 
 /**
@@ -91,51 +82,28 @@ octoAllReduceRun(unsigned pdes)
 RunRecord
 faultStormRun(unsigned pdes)
 {
-    SimObject root(nullptr, "root");
-    auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    params.retry_timeout = 200'000'000;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-
     fault::FaultPlan plan;
     plan.seed = 7;
     plan.chunk_error_rate = 0.02;
     plan.link_faults.push_back(
         fault::LinkFault{"mi300x0", "mi300x1", 50'000'000, 0.0});
     plan.validate();
-    fault::FaultInjector injector(topo.get(), "inj", plan, &eq);
-    injector.attachNetwork(topo->network());
-    injector.attachCommGroup(&group);
-    injector.arm();
+    soc::CommWorld w("octo",
+                     comm::CommParams{
+                         .chunk_bytes = soc::kFig18Comm.chunk_bytes,
+                         .retry_timeout = 200'000'000},
+                     &plan);
+    w.attachPdes(pdes);
 
-    std::unique_ptr<pdes::PdesEngine> engine;
-    if (pdes > 0) {
-        engine = std::make_unique<pdes::PdesEngine>(
-            &eq, topo->network(), pdes);
-        group.attachPdes(engine.get());
+    w.run(comm::Collective::allReduce, comm::Algorithm::ring, 8 * MiB);
+    w.run(comm::Collective::allReduce, comm::Algorithm::direct,
+          8 * MiB);
+    // The kill at 50 us landed mid-run: the detoured route must
+    // have collapsed every partition into one merged group.
+    if (w.engine) {
+        EXPECT_EQ(w.engine->numGroups(), 1u);
     }
-
-    group.allReduce(0, 8 * MiB, comm::Algorithm::ring);
-    group.waitAll();
-    group.allReduce(0, 8 * MiB, comm::Algorithm::direct);
-    group.waitAll();
-    if (engine) {
-        // The kill at 50 us landed mid-run: the detoured route must
-        // have collapsed every partition into one merged group.
-        EXPECT_EQ(engine->numGroups(), 1u);
-        group.attachPdes(nullptr);
-    }
-
-    RunRecord rec;
-    rec.final_tick = eq.curTick();
-    std::ostringstream ss;
-    json::JsonWriter jw(ss);
-    root.dumpJsonStats(jw);
-    rec.stats = ss.str();
-    return rec;
+    return record(w);
 }
 
 /** A fixed-seed TP-2 serving run rendered as its full JSON
@@ -159,14 +127,40 @@ serveDoc(unsigned pdes)
 
 } // anonymous namespace
 
-TEST(Pdes, OctoAllReduceMatchesSerialForAnyPartitionCount)
+TEST(Pdes, EveryCollectiveMatchesSerialForAnyPartitionCount)
 {
-    const RunRecord serial = octoAllReduceRun(0);
-    ASSERT_FALSE(serial.stats.empty());
-    for (const unsigned n : {1u, 2u, 8u}) {
-        const RunRecord par = octoAllReduceRun(n);
-        EXPECT_EQ(par.final_tick, serial.final_tick) << "pdes=" << n;
-        EXPECT_EQ(par.stats, serial.stats) << "pdes=" << n;
+    struct Row
+    {
+        comm::Collective coll;
+        comm::Algorithm first, second;
+    };
+    std::vector<Row> rows;
+    for (const comm::Collective coll :
+         {comm::Collective::allReduce, comm::Collective::allGather,
+          comm::Collective::reduceScatter, comm::Collective::broadcast,
+          comm::Collective::allToAll}) {
+        for (const comm::Algorithm algo :
+             {comm::Algorithm::ring, comm::Algorithm::direct})
+            rows.push_back({coll, algo, algo});
+    }
+    // Two DAG shapes contending on the links at once.
+    rows.push_back({comm::Collective::allReduce, comm::Algorithm::ring,
+                    comm::Algorithm::direct});
+
+    for (const Row &r : rows) {
+        const std::string row = std::string(comm::collectiveName(r.coll)) +
+                                "/" + comm::algorithmName(r.first) + "+" +
+                                comm::algorithmName(r.second);
+        const RunRecord serial =
+            octoCollectiveRun(r.coll, r.first, r.second, 0);
+        ASSERT_FALSE(serial.stats.empty()) << row;
+        for (const unsigned n : {1u, 2u, 8u}) {
+            const RunRecord par =
+                octoCollectiveRun(r.coll, r.first, r.second, n);
+            EXPECT_EQ(par.final_tick, serial.final_tick)
+                << row << " pdes=" << n;
+            EXPECT_EQ(par.stats, serial.stats) << row << " pdes=" << n;
+        }
     }
 }
 
@@ -194,22 +188,12 @@ TEST(Pdes, EngineReportsParallelProgress)
     // exercise the parallel path — nonzero lookahead (every rank
     // pair rides a direct IF link), more than one worker group, and
     // at least one parallel window per collective.
-    SimObject root(nullptr, "root");
-    auto topo = soc::NodeTopology::mi300xOctoNode(&root);
-    EventQueue eq;
-    comm::CommParams params;
-    params.chunk_bytes = 1 * MiB;
-    comm::CommGroup group(topo.get(), "comm", topo->network(),
-                          topo->deviceRanks(), &eq, params);
-    pdes::PdesEngine engine(&eq, topo->network(), 8);
-    group.attachPdes(&engine);
+    soc::CommWorld w("octo", soc::kFig18Comm);
+    w.attachPdes(8);
+    w.run(comm::Collective::allReduce, comm::Algorithm::ring, 4 * MiB);
 
-    group.allReduce(0, 4 * MiB, comm::Algorithm::ring);
-    group.waitAll();
-
-    EXPECT_GT(engine.lookahead(), 0);
-    EXPECT_GT(engine.numGroups(), 1u);
-    EXPECT_GT(engine.windows(), 0u);
-    EXPECT_GT(engine.totalProcessed(), 0u);
-    group.attachPdes(nullptr);
+    EXPECT_GT(w.engine->lookahead(), 0);
+    EXPECT_GT(w.engine->numGroups(), 1u);
+    EXPECT_GT(w.engine->windows(), 0u);
+    EXPECT_GT(w.engine->totalProcessed(), 0u);
 }

@@ -13,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 namespace
 {
@@ -87,6 +90,43 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
     EXPECT_NE(doc.find("\"wall\""), std::string::npos);
     for (const char *key : wallKeys)
         EXPECT_NE(doc.find(key), std::string::npos);
+}
+
+TEST(PerfKernel, MalformedRepeatExitsTwo)
+{
+    // Each row must exit 2 with a message naming the flag: never
+    // run with a defaulted count (banana, 0) or a wrapped one (-1
+    // and 99999999999 meant billions of repetitions, which the
+    // timeout turns into a failure instead of a hung ctest).
+    struct Case
+    {
+        const char *repeat;
+        const char *stderr_has;
+    };
+    const Case cases[] = {
+        {"banana", "--repeat: malformed numeric argument 'banana'"},
+        {"0", "--repeat: '0' is below the minimum 1"},
+        {"-1", "--repeat: malformed numeric argument '-1'"},
+        {"3x", "--repeat: malformed numeric argument '3x'"},
+        {"99999999999",
+         "--repeat: numeric argument '99999999999' out of range"},
+    };
+    for (const auto &c : cases) {
+        const std::string err_path = "perf_kernel_malformed.err";
+        const std::string cmd =
+            std::string("timeout 10 ") + EHPSIM_PERF_KERNEL_BIN +
+            " --quick --only schedule_churn --repeat " + c.repeat +
+            " > /dev/null 2> " + err_path;
+        const int rc = std::system(cmd.c_str());
+        EXPECT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 2)
+            << cmd << " returned " << rc;
+        std::ifstream in(err_path);
+        std::ostringstream err;
+        err << in.rdbuf();
+        EXPECT_NE(err.str().find(c.stderr_has), std::string::npos)
+            << cmd << "\n" << err.str();
+        std::remove(err_path.c_str());
+    }
 }
 
 TEST(PerfKernel, QuickJsonDeterministicModuloWall)

@@ -25,7 +25,7 @@
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/snapshot.hh"
-#include "soc/node_topology.hh"
+#include "soc/comm_world.hh"
 #include "sweep/sweep_runner.hh"
 
 using namespace ehpsim;
@@ -163,80 +163,60 @@ TEST(ServeCheckpoint, CheckpointAfterLastEventStillResumes)
 }
 
 // ---------------------------------------------------------------------
-// Hand-rolled comm world: warmup, fork, run more collectives
+// Comm world: warmup, fork, run more collectives
 // ---------------------------------------------------------------------
 
 namespace
 {
 
-/** One octo-node comm world, built identically every time. */
-struct CommWorld
+void
+ringAllReduce(soc::CommWorld &w, std::uint64_t bytes)
 {
-    EventQueue eq;
-    SimObject root;
-    std::unique_ptr<soc::NodeTopology> topo;
-    std::unique_ptr<comm::CommGroup> group;
+    w.run(comm::Collective::allReduce, comm::Algorithm::ring, bytes);
+}
 
-    CommWorld()
-        : root(nullptr, "root", &eq)
-    {
-        topo = soc::NodeTopology::mi300xOctoNode(&root);
-        comm::CommParams cp;
-        cp.chunk_bytes = 4 * MiB;
-        group = std::make_unique<comm::CommGroup>(
-            topo.get(), "comm", topo->network(), topo->deviceRanks(),
-            &eq, cp);
-    }
-
-    void
-    allReduce(std::uint64_t bytes)
-    {
-        group->allReduce(0, bytes, comm::Algorithm::ring);
-        group->waitAll();
-    }
-
-    std::string
-    statsJson()
-    {
-        std::ostringstream os;
-        json::JsonWriter jw(os);
-        root.dumpJsonStats(jw);
-        return os.str();
-    }
-};
+std::string
+statsJson(const soc::CommWorld &w)
+{
+    std::ostringstream os;
+    json::JsonWriter jw(os);
+    w.root.dumpJsonStats(jw);
+    return os.str();
+}
 
 } // anonymous namespace
 
 TEST(CommCheckpoint, ForkedCollectivesMatchStraightThrough)
 {
+    // Octo-node worlds with 4 MiB chunks, built identically each time.
     // Straight-through reference: four all-reduces back to back.
-    CommWorld straight;
-    straight.allReduce(64 * MiB);
-    straight.allReduce(32 * MiB);
-    straight.allReduce(64 * MiB);
-    straight.allReduce(16 * MiB);
+    soc::CommWorld straight("octo");
+    ringAllReduce(straight, 64 * MiB);
+    ringAllReduce(straight, 32 * MiB);
+    ringAllReduce(straight, 64 * MiB);
+    ringAllReduce(straight, 16 * MiB);
 
     // Warmup world: first two, then checkpoint at the op boundary
     // (waitAll already quiesced the queue — comm events are unkeyed,
     // so none can be pending at a legal save point).
-    CommWorld warm;
-    warm.allReduce(64 * MiB);
-    warm.allReduce(32 * MiB);
+    soc::CommWorld warm("octo");
+    ringAllReduce(warm, 64 * MiB);
+    ringAllReduce(warm, 32 * MiB);
     ASSERT_TRUE(warm.eq.allPendingKeyed());
     const std::string blob = saveWorld(warm.eq, warm.root);
 
     // Forked world: restore, then the remaining two.
-    CommWorld forked;
+    soc::CommWorld forked("octo");
     restoreWorld(blob, forked.eq, forked.root);
-    forked.allReduce(64 * MiB);
-    forked.allReduce(16 * MiB);
+    ringAllReduce(forked, 64 * MiB);
+    ringAllReduce(forked, 16 * MiB);
 
-    EXPECT_EQ(straight.statsJson(), forked.statsJson());
+    EXPECT_EQ(statsJson(straight), statsJson(forked));
 }
 
 TEST(CommCheckpoint, SaveWithCollectiveInFlightIsFatal)
 {
-    CommWorld w;
+    soc::CommWorld w("octo");
     w.group->allReduce(0, 64 * MiB, comm::Algorithm::ring);
     // Chunk events are pending and unkeyed: both the queue-level
     // gate and the CommGroup's own op-boundary check must refuse.

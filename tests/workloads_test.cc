@@ -177,8 +177,9 @@ TEST(Arrivals, PoissonIsSeedDeterministicAndSorted)
         EXPECT_EQ(a[i].arrival, b[i].arrival);
         EXPECT_EQ(a[i].input_tokens, b[i].input_tokens);
         EXPECT_EQ(a[i].output_tokens, b[i].output_tokens);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i].arrival, a[i - 1].arrival);
+        }
     }
     const auto c = poissonArrivals(arrivalParams(8, 64, 4.0));
     EXPECT_NE(a[0].arrival, c[0].arrival);
