@@ -10,10 +10,8 @@
  *   schedule_churn   schedule/deschedule/reschedule mix over a pool
  *                    of persistent events (the deschedule-heavy
  *                    pattern retry/timeout logic produces)
- *   oneshot_storm    chains of one-shot callback events through the
- *                    std::function compat path (scheduleLambda)
- *   oneshot_storm_pooled  the same chains through the
- *                    scheduleCallback() pool fast path
+ *   oneshot_storm_pooled  chains of one-shot callback events
+ *                    through the scheduleCallback() pool
  *   comm_allreduce   ring + direct all-reduce on the Fig. 18 octo
  *                    MI300X node, driven through CommGroup
  *   comm_allreduce_octo_pdes  the same workload on the conservative
@@ -110,7 +108,7 @@ struct Sizes
     // schedule_churn
     std::size_t churn_events;
     unsigned churn_rounds;
-    // oneshot_storm
+    // oneshot_storm_pooled
     std::size_t storm_chains;
     std::uint64_t storm_depth;
     // comm / fault
@@ -187,22 +185,6 @@ benchScheduleChurn(const Sizes &sz, unsigned repeat)
     return result;
 }
 
-/** Forward decl so the chain lambda can re-arm itself. */
-void hop(EventQueue &eq, std::vector<std::uint64_t> &left,
-         std::size_t i);
-
-void
-hop(EventQueue &eq, std::vector<std::uint64_t> &left, std::size_t i)
-{
-    // Intentionally the std::function compat path, so baseline and
-    // pooled kernels run the same call site.
-    // ehpsim-lint: allow(event-alloc)
-    eq.scheduleLambda(eq.curTick() + 1 + (i % 7), [&eq, &left, i] {
-        if (--left[i] > 0)
-            hop(eq, left, i);
-    });
-}
-
 void poolHop(EventQueue &eq, std::vector<std::uint64_t> &left,
              std::size_t i);
 
@@ -216,45 +198,28 @@ poolHop(EventQueue &eq, std::vector<std::uint64_t> &left,
     });
 }
 
-/** Independent chains of @p hopFn one-shot events, each event
- *  scheduling its successor. */
-template <typename Hop>
+/**
+ * Independent chains of one-shot callbacks, each event scheduling
+ * its successor: steady-state one-shot scheduling, the pattern of
+ * every chunk-completion and fault event in the tree. The pool
+ * makes it allocation-free.
+ */
 BenchResult
-storm(const char *name, const Sizes &sz, unsigned repeat, Hop hopFn)
+benchOneshotStormPooled(const Sizes &sz, unsigned repeat)
 {
-    return bestOf(name, repeat, [&](BenchResult &r) {
+    return bestOf("oneshot_storm_pooled", repeat, [&](BenchResult &r) {
         EventQueue eq;
         std::vector<std::uint64_t> left(sz.storm_chains,
                                         sz.storm_depth);
         WallTimer wt;
         for (std::size_t i = 0; i < left.size(); ++i)
-            hopFn(eq, left, i);
+            poolHop(eq, left, i);
         eq.run();
         r.det = {{"events_processed", eq.numProcessed()},
                  {"final_tick", eq.curTick()},
                  {"pool_capacity", eq.poolCapacity()}};
         return wt.seconds();
     });
-}
-
-/**
- * Independent chains of one-shot callbacks through the
- * std::function compat path (scheduleLambda): steady-state one-shot
- * allocation, the pattern of every chunk-completion and fault event
- * in the tree.
- */
-BenchResult
-benchOneshotStorm(const Sizes &sz, unsigned repeat)
-{
-    return storm("oneshot_storm", sz, repeat, hop);
-}
-
-/** The same chains through the scheduleCallback() pool fast path:
- *  no std::function, no per-event allocation in steady state. */
-BenchResult
-benchOneshotStormPooled(const Sizes &sz, unsigned repeat)
-{
-    return storm("oneshot_storm_pooled", sz, repeat, poolHop);
 }
 
 /** comm_iters rounds of a ring then a direct all-reduce of
@@ -476,7 +441,6 @@ main(int argc, char **argv)
         BenchFn fn;
     } benches[] = {
         {"schedule_churn", benchScheduleChurn},
-        {"oneshot_storm", benchOneshotStorm},
         {"oneshot_storm_pooled", benchOneshotStormPooled},
         {"comm_allreduce_octo", benchCommAllReduce},
         {"comm_allreduce_octo_pdes", benchCommAllReducePdes},

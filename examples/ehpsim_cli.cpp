@@ -37,14 +37,17 @@
  * job reports TTFT/TPOT percentiles, tokens/s, SLO attainment, and
  * the KV eviction/retry counters.
  *
- * The comm, fault, and serve subcommands accept --pdes N to run
- * each job's simulation on the conservative parallel core
- * (DESIGN.md §15): the node graph is partitioned into N logical
- * processes synchronized by min-link-latency lookahead. Output is
- * byte-identical to the serial run — `cmp` the two JSON documents to
- * check — so the knob trades wall time only. sweep REJECTS the flag
- * with an error (its jobs are per-partition roofline/event sims
- * with no cross-partition traffic to overlap; use --jobs instead).
+ * The comm and fault subcommands accept --pdes N to run each job's
+ * simulation on the conservative parallel core (DESIGN.md §15): the
+ * node graph is partitioned into N logical processes synchronized
+ * by min-link-latency lookahead. Output is byte-identical to the
+ * serial run — `cmp` the two JSON documents to check — so the knob
+ * trades wall time only. sweep REJECTS the flag with an error (its
+ * jobs are per-partition roofline/event sims with no
+ * cross-partition traffic to overlap; use --jobs instead). serve
+ * runs on the serial kernel only: its batcher lives on the
+ * coordinator and every decode all-reduce is a thin window, so the
+ * parallel core only ever made it slower.
  *
  * Checkpoint/fast-forward (DESIGN.md §16): `comm --warmup N` runs N
  * ring all-reduces before each measured point; adding `--fork`
@@ -334,8 +337,8 @@ sweepFlags(SweepOptions &o)
                           "jobs are independent single-partition "
                           "sims with no cross-partition traffic to "
                           "parallelize; use --jobs N to run points "
-                          "concurrently (comm, fault, and serve do "
-                          "accept --pdes)\n");
+                          "concurrently (comm and fault do accept "
+                          "--pdes)\n");
              std::exit(2);
          },
          false},
@@ -488,7 +491,6 @@ serveFlags(ServeOptions &o)
              p.faults.channel_faults.push_back(
                  fault::parseChannelFault(v));
          }},
-        {"--pdes", "N", number(p.pdes)},
         {"--checkpoint-at", "T", number(p.checkpoint_at)},
         {"--jobs", "N", number(o.jobs, 1u)},
         {"--json", "FILE", text(o.json_path)},
@@ -884,7 +886,6 @@ serveMain(int argc, char **argv)
     if (o.devices.empty() || o.loads.empty())
         usage(argv[0]);
     o.base.faults.seed = o.base.seed;
-    o.base.faults.validate();
 
     sweep::SweepRunner runner(o.jobs);
     for (const auto &device : o.devices) {
@@ -892,6 +893,7 @@ serveMain(int argc, char **argv)
             serve::ScenarioParams p = o.base;
             p.device = device;
             p.load_rps = parseDouble(load);
+            p.validate();
             runner.addJob(device + "/load" + load,
                           [p](json::JsonWriter &jw) {
                               const auto r =

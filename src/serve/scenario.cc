@@ -7,7 +7,6 @@
 #include "fault/fault_injector.hh"
 #include "serve/serving_engine.hh"
 #include "sim/logging.hh"
-#include "sim/pdes/pdes_engine.hh"
 #include "soc/node_topology.hh"
 
 namespace ehpsim
@@ -33,8 +32,11 @@ scenarioConfig(const ScenarioParams &p)
     return cfg;
 }
 
-std::vector<workloads::ServingRequestSpec>
-scenarioTrace(const ScenarioParams &p)
+namespace
+{
+
+workloads::ArrivalParams
+arrivalParams(const ScenarioParams &p)
 {
     workloads::ArrivalParams ap;
     ap.seed = p.seed;
@@ -42,9 +44,31 @@ scenarioTrace(const ScenarioParams &p)
     ap.rate_per_s = p.load_rps;
     ap.mean_input_tokens = p.input_tokens;
     ap.mean_output_tokens = p.output_tokens;
+    return ap;
+}
+
+} // namespace
+
+std::vector<workloads::ServingRequestSpec>
+scenarioTrace(const ScenarioParams &p)
+{
     if (p.bursty)
-        return workloads::mmppArrivals(ap, workloads::MmppParams{});
-    return workloads::poissonArrivals(ap);
+        return workloads::mmppArrivals(arrivalParams(p),
+                                       workloads::MmppParams{});
+    return workloads::poissonArrivals(arrivalParams(p));
+}
+
+void
+ScenarioParams::validate() const
+{
+    scenarioConfig(*this).validate();
+    // TP shards over the octo node's accelerators; its two EPYC
+    // hosts are endpoints too, but never ranks.
+    if (tp > soc::mi300xOctoDevices)
+        fatal("serving scenario: tp ", tp, " exceeds the ",
+              soc::mi300xOctoDevices, " accelerators of the octo node");
+    arrivalParams(*this).validate();
+    faults.validate();
 }
 
 namespace
@@ -77,14 +101,14 @@ struct ScenarioWorld
     ScenarioWorld(const ScenarioParams &p, const ServingConfig &cfg)
         : root(nullptr, "serving", &eq)
     {
-        // TP > 1 shards over the first tp sockets of the Fig. 18b
-        // octo node; the decode/prefill all-reduces run over its IF
-        // links.
+        p.validate();
+        // TP > 1 shards over the first tp accelerators of the
+        // Fig. 18b octo node; the decode/prefill all-reduces run
+        // over its IF links.
         if (cfg.tp > 1) {
             topo = soc::NodeTopology::mi300xOctoNode(&root);
-            std::vector<fabric::NodeId> ranks;
-            for (unsigned i = 0; i < cfg.tp; ++i)
-                ranks.push_back(topo->nodeId(i));
+            std::vector<fabric::NodeId> ranks = topo->deviceRanks();
+            ranks.resize(cfg.tp);
             comm::CommParams cp;
             cp.chunk_bytes = 1 * MiB;
             // Transient chunk errors back off from 200 us so a
@@ -111,29 +135,6 @@ struct ScenarioWorld
         if (group)
             injector->attachCommGroup(group.get());
         injector->attachHbm(hbm.get());
-    }
-
-    /** Drain the queue, honoring the PDES knob. */
-    void
-    runToCompletion(unsigned pdes_parts)
-    {
-        if (pdes_parts > 0) {
-            // The conservative parallel core: the serving engine
-            // stays on the coordinator queue; the TP all-reduce
-            // chunks (when any) fan out over the partition queues.
-            // run() drains everything, exactly like eq.run(), and
-            // the output is byte-identical to the serial run's.
-            pdes::PdesEngine pe(&eq,
-                                topo ? topo->network() : nullptr,
-                                pdes_parts);
-            if (group)
-                group->attachPdes(&pe);
-            pe.run();
-            if (group)
-                group->attachPdes(nullptr);
-        } else {
-            eq.run();
-        }
     }
 };
 
@@ -202,9 +203,6 @@ checkpointServingScenario(const ScenarioParams &p)
     w.injector->arm();
     w.engine->start();
 
-    // The warmup prefix always runs serially — the snapshot must be
-    // taken from a quiesced coordinator queue, and the prefix is run
-    // exactly once however the resumed halves are parallelized.
     w.eq.run(p.checkpoint_at);
     // A legal save needs every pending event keyed; comm chunk and
     // retry events are not, so stepping until they drain also means
@@ -223,7 +221,7 @@ resumeServingScenario(const ScenarioParams &p,
     // No arm(), no start(): the injector's pending timed faults and
     // the engine's wake/finish events replay from the blob.
     restoreWorld(blob, w.eq, w.root);
-    w.runToCompletion(p.pdes);
+    w.eq.run();
     return summarize(p, w);
 }
 
@@ -238,7 +236,7 @@ runServingScenario(const ScenarioParams &p)
     ScenarioWorld w(p, cfg);
     w.injector->arm();
     w.engine->start();
-    w.runToCompletion(p.pdes);
+    w.eq.run();
     return summarize(p, w);
 }
 

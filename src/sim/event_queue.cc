@@ -34,8 +34,7 @@ void
 EventPool::release(PoolEvent *ev)
 {
     // Destroy the inline callable eagerly — captured resources
-    // (shared_ptrs, buffers) must not outlive the firing, exactly as
-    // deleting a LambdaEvent would release them.
+    // (shared_ptrs, buffers) must not outlive the firing.
     ev->destroy_(ev->store_);
     ev->invoke_ = nullptr;
     ev->destroy_ = nullptr;
@@ -61,8 +60,8 @@ EventQueue::~EventQueue()
     // the pool's slabs, but the inline callables still need their
     // destructors run.
     for (const Entry &e : heap_) {
-        if (e.ev->selfDeleting())
-            releaseOneShot(e.ev);
+        if (e.ev->pooled_)
+            pool_.release(static_cast<PoolEvent *>(e.ev));
     }
 }
 
@@ -179,13 +178,6 @@ EventQueue::schedule(Event *ev, Tick when)
 }
 
 void
-EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
-                           int priority)
-{
-    scheduleCallback(when, std::move(fn), priority);
-}
-
-void
 EventQueue::killEntry(Event *ev)
 {
     // True removal: the entry leaves the heap (or the in-flight
@@ -206,31 +198,15 @@ EventQueue::deschedule(Event *ev)
 {
     if (!ev->scheduled_)
         panic("descheduling an event that is not scheduled");
-    if (ev->selfDeleting()) {
-        panic("descheduling a self-deleting event would leak it: the "
-              "queue only deletes events it processes; use "
-              "reschedule() or let it fire");
-    }
     killEntry(ev);
 }
 
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    // Deliberately not routed through deschedule(): rescheduling a
-    // self-deleting event is safe (it still fires exactly once).
     if (ev->scheduled_)
         killEntry(ev);
     schedule(ev, when);
-}
-
-void
-EventQueue::releaseOneShot(Event *ev)
-{
-    if (ev->pooled_)
-        pool_.release(static_cast<PoolEvent *>(ev));
-    else
-        delete ev;
 }
 
 void
@@ -245,21 +221,21 @@ EventQueue::fire(Event *ev)
     ev->scheduled_ = false;
     --live_count_;
     ++num_processed_;
-    if (ev->selfDeleting()) {
-        // Reclaim the event even when process() throws (a fatal() on
-        // an error path propagates through here).
-        try {
-            ev->process();
-        } catch (...) {
-            if (!ev->scheduled_)
-                releaseOneShot(ev);
-            throw;
-        }
-        if (!ev->scheduled_)
-            releaseOneShot(ev);
-    } else {
+    if (!ev->pooled_) {
         ev->process();
+        return;
     }
+    // Reclaim the one-shot even when process() throws (a fatal() on
+    // an error path propagates through here). No caller holds a
+    // pooled event's pointer, so nothing can have rescheduled it.
+    auto *pe = static_cast<PoolEvent *>(ev);
+    try {
+        pe->process();
+    } catch (...) {
+        pool_.release(pe);
+        throw;
+    }
+    pool_.release(pe);
 }
 
 bool

@@ -5,20 +5,20 @@
  * The EventQueue orders Event objects by (tick, priority, insertion
  * sequence) so simulations are fully deterministic. Events are owned
  * by their creators; the queue never deletes them. Callback-style
- * one-shot events are provided for fire-and-forget work and are
- * reclaimed by the queue after they fire, when their process()
- * throws, or — if they never fire — when the queue itself is
- * destroyed.
+ * one-shot events (scheduleCallback(), scheduleKeyed()) are provided
+ * for fire-and-forget work: they live in the queue's pool and are
+ * reclaimed after they fire, when their process() throws, or — if
+ * they never fire — when the queue itself is destroyed.
  *
  * Hot-path design (DESIGN.md §11):
  *  - an indexed binary heap: each scheduled Event carries its heap
  *    slot, so deschedule()/reschedule() remove the entry in O(log n)
  *    with no tombstones and no dead-entry skip loop;
- *  - a slab/free-list EventPool for one-shot callbacks: the
- *    scheduleCallback() fast path constructs the callable inline in
- *    a recycled fixed-size slot, so steady-state one-shot scheduling
- *    performs no heap allocation (scheduleLambda() routes its
- *    std::function through the same pool);
+ *  - a slab/free-list EventPool for one-shot callbacks: every
+ *    one-shot constructs its callable inline in a recycled
+ *    fixed-size slot, so steady-state one-shot scheduling performs
+ *    no heap allocation; a callable that does not fit the slot is
+ *    a compile error (PoolCallable), never a heap fallback;
  *  - batched dispatch: run() pops a run of same-(tick, priority)
  *    events at once and fires them back-to-back, splicing the rest
  *    back if an event schedules ahead of the batch (so the
@@ -71,12 +71,6 @@ class Event
     /** Invoked by the queue when the event's tick arrives. */
     virtual void process() = 0;
 
-    /**
-     * If true, the queue reclaims the event after process() returns
-     * (only valid for queue-owned events: heap-allocated or pooled).
-     */
-    virtual bool selfDeleting() const { return false; }
-
     int priority() const { return priority_; }
 
     bool scheduled() const { return scheduled_; }
@@ -97,8 +91,8 @@ class Event
 
     int priority_;
     bool scheduled_ = false;
-    /** True for pool-backed one-shots: reclaim to the pool, never
-     *  delete. */
+    /** True for queue-owned (pooled) one-shots: the queue reclaims
+     *  them to its pool after they fire. */
     bool pooled_ = false;
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
@@ -106,31 +100,27 @@ class Event
     std::size_t heap_index_ = notQueued;
 };
 
-/** One-shot heap-allocated event wrapping a callable. */
-class LambdaEvent : public Event
-{
-  public:
-    explicit LambdaEvent(std::function<void()> fn,
-                         int priority = defaultPriority)
-        : Event(priority), fn_(std::move(fn))
-    {}
-
-    void process() override { fn_(); }
-
-    bool selfDeleting() const override { return true; }
-
-  private:
-    std::function<void()> fn_;
-};
-
 /** Bytes of inline callable storage in a pooled one-shot event. */
 constexpr std::size_t inlineCallbackBytes = 48;
 
 /**
+ * A callable a pooled one-shot can hold: it fits the inline slot and
+ * constructing it there cannot throw (the slot is already taken from
+ * the pool when the callable moves in). Capture pointers or indices,
+ * not payloads.
+ */
+template <typename F>
+concept PoolCallable =
+    std::is_invocable_v<std::decay_t<F> &> &&
+    sizeof(std::decay_t<F>) <= inlineCallbackBytes &&
+    alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+    std::is_nothrow_constructible_v<std::decay_t<F>, F &&>;
+
+/**
  * A pooled one-shot callback event. The callable lives inline in
- * store_; invoke_/destroy_ are the type-erased entry points the
- * scheduleCallback() fast path installs. Only the EventQueue and its
- * pool create, fire, and recycle these.
+ * store_; invoke_/destroy_ are the type-erased entry points
+ * schedulePooled() installs. Only the EventQueue and its pool
+ * create, fire, and recycle these.
  */
 class PoolEvent final : public Event
 {
@@ -138,8 +128,6 @@ class PoolEvent final : public Event
     PoolEvent() { pooled_ = true; }
 
     void process() override { invoke_(store_); }
-
-    bool selfDeleting() const override { return true; }
 
   private:
     friend class EventQueue;
@@ -197,7 +185,7 @@ class EventQueue
   public:
     EventQueue() = default;
 
-    /** Reclaims any still-pending self-deleting events. */
+    /** Reclaims any still-pending one-shots. */
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -210,47 +198,19 @@ class EventQueue
     void schedule(Event *ev, Tick when);
 
     /**
-     * Fast path for one-shot callbacks: when the callable fits the
-     * pool's inline storage it is constructed in a recycled slot and
-     * the schedule performs no heap allocation; oversized callables
-     * fall back to a heap-allocated LambdaEvent. Either way the
-     * event is queue-owned and reclaimed after it fires.
+     * Schedule a one-shot callback at @p when. The callable is
+     * constructed in a recycled pool slot, so the schedule performs
+     * no heap allocation; the event is queue-owned and reclaimed
+     * after it fires.
      */
-    template <typename F>
+    template <PoolCallable F>
     void
     scheduleCallback(Tick when, F &&fn,
                      int priority = Event::defaultPriority)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= inlineCallbackBytes &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_constructible_v<Fn, F &&>) {
-            PoolEvent *ev = pool_.acquire();
-            ::new (static_cast<void *>(ev->store_))
-                Fn(std::forward<F>(fn));
-            ev->invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            ev->destroy_ = [](void *p) {
-                static_cast<Fn *>(p)->~Fn();
-            };
-            ev->priority_ = priority;
-            schedule(ev, when);
-        } else {
-            schedule(new LambdaEvent(
-                         std::function<void()>(std::forward<F>(fn)),
-                         priority),
-                     when);
-        }
+        schedulePooled(when, nullptr, 0, 0, std::forward<F>(fn),
+                       priority);
     }
-
-    /**
-     * Convenience: schedule a one-shot callback at @p when. The
-     * std::function is moved into the pool, so this shares the
-     * allocation-free steady state of scheduleCallback(); prefer
-     * scheduleCallback() in hot paths to also skip the function's
-     * own capture allocation.
-     */
-    void scheduleLambda(Tick when, std::function<void()> fn,
-                        int priority = Event::defaultPriority);
 
     /**
      * Schedule a checkpoint-aware one-shot (DESIGN.md §16): exactly
@@ -258,31 +218,16 @@ class EventQueue
      * (@p key, @p a0, @p a1) so save() can serialize it while
      * pending and restore() can replay it through the factory
      * registered under @p key. @p key must point at storage that
-     * outlives the event (a string literal). The callable must fit
-     * the pool's inline slot — keyed events always take the pooled
-     * path, never the heap LambdaEvent fallback.
+     * outlives the event (a string literal).
      */
-    template <typename F>
+    template <PoolCallable F>
     void
     scheduleKeyed(Tick when, const char *key, std::uint64_t a0,
                   std::uint64_t a1, F &&fn,
                   int priority = Event::defaultPriority)
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= inlineCallbackBytes &&
-                          alignof(Fn) <= alignof(std::max_align_t) &&
-                          std::is_nothrow_constructible_v<Fn, F &&>,
-                      "keyed one-shot callable must fit the pool's "
-                      "inline slot");
-        PoolEvent *ev = pool_.acquire();
-        ::new (static_cast<void *>(ev->store_)) Fn(std::forward<F>(fn));
-        ev->invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-        ev->destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
-        ev->priority_ = priority;
-        ev->key_ = key;
-        ev->a0_ = a0;
-        ev->a1_ = a1;
-        schedule(ev, when);
+        schedulePooled(when, key, a0, a1, std::forward<F>(fn),
+                       priority);
     }
 
     /**
@@ -330,19 +275,13 @@ class EventQueue
     void restore(SnapshotReader &r);
 
     /**
-     * Remove a scheduled event from the queue. Self-deleting events
-     * are rejected: the queue only reclaims events it processes, so
-     * descheduling one would leak it (use reschedule(), or let it
-     * fire). After descheduling, the owner may immediately delete
-     * the event; the queue never touches its memory again.
+     * Remove a scheduled event from the queue. After descheduling,
+     * the owner may immediately delete the event; the queue never
+     * touches its memory again.
      */
     void deschedule(Event *ev);
 
-    /**
-     * Re-schedule an already-scheduled event to a new tick. Unlike
-     * deschedule(), this is legal for self-deleting events: the
-     * event still fires exactly once, just at the new time.
-     */
+    /** Re-schedule an event (scheduled or not) to a new tick. */
     void reschedule(Event *ev, Tick when);
 
     /** True when no events remain. */
@@ -428,12 +367,28 @@ class EventQueue
      *  event afterwards. */
     void killEntry(Event *ev);
 
-    /** Process one event, reclaiming queue-owned ones — also on the
+    /** The one body behind scheduleCallback() and scheduleKeyed():
+     *  @p key is nullptr for a plain one-shot. */
+    template <typename F>
+    void
+    schedulePooled(Tick when, const char *key, std::uint64_t a0,
+                   std::uint64_t a1, F &&fn, int priority)
+    {
+        using Fn = std::decay_t<F>;
+        PoolEvent *ev = pool_.acquire();
+        ::new (static_cast<void *>(ev->store_)) Fn(std::forward<F>(fn));
+        ev->invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
+        ev->destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
+        ev->priority_ = priority;
+        ev->key_ = key;
+        ev->a0_ = a0;
+        ev->a1_ = a1;
+        schedule(ev, when);
+    }
+
+    /** Process one event, reclaiming pooled ones — also on the
      *  throwing-process() path. */
     void fire(Event *ev);
-
-    /** Reclaim a queue-owned (self-deleting) event. */
-    void releaseOneShot(Event *ev);
 
     /** Pop and fire the run of events sharing the head's
      *  (tick, priority); splices the tail back if a fired event

@@ -15,6 +15,8 @@ PdesEngine::PdesEngine(EventQueue *coordinator, fabric::Network *net,
 {
     if (!coord_)
         fatal("PdesEngine needs a coordinator queue");
+    if (!net_)
+        fatal("PdesEngine needs the fabric its partitions ride");
     if (nparts_ == 0)
         fatal("PdesEngine needs at least one partition");
     queues_.reserve(nparts_);
@@ -59,7 +61,7 @@ PdesEngine::addFlushHook(std::function<void()> fn)
 void
 PdesEngine::refreshPlacement()
 {
-    const std::uint64_t epoch = net_ ? net_->routeEpoch() : 0;
+    const std::uint64_t epoch = net_->routeEpoch();
     if (placement_valid_ && epoch == seen_epoch_)
         return;
     seen_epoch_ = epoch;
@@ -74,7 +76,7 @@ PdesEngine::refreshPlacement()
     // groups also transfer on, so everything collapses into one
     // merged group (still windowed against the coordinator, still
     // deterministic).
-    bool merged = !net_ || traffic_.empty();
+    bool merged = traffic_.empty();
     for (const auto &[src, dst] : traffic_) {
         if (merged)
             break;
@@ -102,7 +104,7 @@ PdesEngine::refreshPlacement()
     // cross-group traffic at all, so windows are bounded only by
     // the coordinator head.
     lookahead_ = 0;
-    if (net_ && !merged) {
+    if (!merged) {
         for (const auto &[src, dst] : traffic_) {
             const int sd = net_->nodeDomain(src);
             const int dd = net_->nodeDomain(dst);
@@ -226,17 +228,9 @@ PdesEngine::rethrowFirstFailure()
 }
 
 Tick
-PdesEngine::run()
-{
-    return runUntil(nullptr);
-}
-
-Tick
 PdesEngine::runUntil(const std::function<bool()> &done)
 {
-    for (;;) {
-        if (done && done())
-            break;
+    while (!done()) {
         refreshPlacement();
 
         Tick t_coord = maxTick;
@@ -252,12 +246,9 @@ PdesEngine::runUntil(const std::function<bool()> &done)
                 t_parts = when;
         }
 
-        if (!has_coord && t_parts == maxTick) {
-            if (done)
-                panic("PDES queues drained before runUntil() "
-                      "condition was met");
-            break;
-        }
+        if (!has_coord && t_parts == maxTick)
+            panic("PDES queues drained before runUntil() "
+                  "condition was met");
 
         // Coordinator-exclusive phase: the earliest pending event
         // is the coordinator's, so step it serially. Ties go to the

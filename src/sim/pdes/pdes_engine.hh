@@ -2,9 +2,9 @@
  * @file
  * Conservative parallel discrete-event core (PDES, DESIGN.md §15).
  *
- * One big simulation (the octo-node all-reduce, the TP serving
- * scenario) still ran on a single core after PR 1's sweep engine:
- * that engine parallelizes across sweep points, not within one sim.
+ * One big simulation (the octo-node all-reduce, a faulted collective
+ * storm) still ran on a single core after PR 1's sweep engine: that
+ * engine parallelizes across sweep points, not within one sim.
  * The PdesEngine partitions the simulated node graph into logical
  * processes — one EventQueue per NodeTopology partition domain, as
  * emitted by the `ehpsim_cli race` report — and runs each on the
@@ -12,8 +12,8 @@
  *
  *  - Windows. Execution alternates between coordinator-exclusive
  *    phases (the original queue, running topology mutations, op
- *    starts/completions, fault arms, and the serving engine) and
- *    parallel partition phases. A partition phase executes events
+ *    starts/completions, and fault arms) and parallel partition
+ *    phases. A partition phase executes events
  *    with tick strictly below B = min(T_coord, T_parts + L), where
  *    T_coord / T_parts are the earliest pending coordinator /
  *    partition ticks and L is the lookahead.
@@ -33,8 +33,8 @@
  *    ascending source-partition order, FIFO within a partition, on
  *    the main thread with all workers parked — so a run's output is
  *    a pure function of the initial schedule, never of thread
- *    timing, and sweep/comm/fault/serve JSON stays byte-identical
- *    to the serial kernel (gated by the golden-trace test and the
+ *    timing, and comm/fault JSON stays byte-identical to the
+ *    serial kernel (gated by the golden-trace test and the
  *    serial-vs---pdes cmp checks in CI).
  *
  *  - Safety fallback. Partitions are valid worker groups only while
@@ -76,9 +76,8 @@ class PdesEngine
     /**
      * @param coordinator The original serial queue; keeps every
      *        event whose owner declared no partition domain.
-     * @param net The fabric the partitioned traffic rides (nullable
-     *        for purely synthetic partition workloads; without it
-     *        all partitions run as one merged group).
+     * @param net The fabric the partitioned traffic rides
+     *        (required: lookahead and link ownership come from it).
      * @param partitions Number of logical processes; domains map to
      *        partition (domain % partitions).
      */
@@ -126,13 +125,13 @@ class PdesEngine
     /**
      * Declare a (src, dst) traffic pair (a collective's rank pair).
      * Feeds the lookahead table and the link-ownership check; call
-     * before run(). Undeclared cross-partition traffic is not
+     * before runUntil(). Undeclared cross-partition traffic is not
      * allowed — declare every pair the workload can send on.
      */
     void declareTraffic(fabric::NodeId src, fabric::NodeId dst);
 
     /**
-     * Register a hook run after every run()/runUntil() drains, with
+     * Register a hook run after every runUntil() returns, with
      * workers parked: merge per-partition stat shards back into the
      * shared Scalars here, in partition order.
      */
@@ -151,14 +150,11 @@ class PdesEngine
         outbox_[src_partition].push_back(std::move(fn));
     }
 
-    /** Drive all queues until everything drains; @return the
-     *  coordinator's final tick. */
-    Tick run();
-
     /**
-     * Like run(), but stop as soon as @p done() turns true (checked
-     * with workers parked). Panics if every queue and mailbox
-     * drains while @p done() is still false.
+     * Drive all queues until @p done() turns true (checked with
+     * workers parked); @return the coordinator's tick. Panics if
+     * every queue and mailbox drains while @p done() is still
+     * false.
      *
      * An event that throws (a fatal()) on any thread ends the run:
      * the window finishes with every worker parked, then the

@@ -221,18 +221,18 @@ NodeTopology::mi300xOctoNode(SimObject *parent)
 {
     auto node = std::make_unique<NodeTopology>(parent,
                                                "mi300x_octo_node");
-    for (unsigned i = 0; i < 8; ++i)
+    for (unsigned i = 0; i < mi300xOctoDevices; ++i)
         node->addSocket("mi300x" + std::to_string(i), 8);
     const unsigned host0 = node->addHost("epyc0");
     const unsigned host1 = node->addHost("epyc1");
     // Fully connected among the accelerators: one x16 IF link per
     // pair consumes 7 links per socket (paper Fig. 18b).
-    for (unsigned a = 0; a < 8; ++a) {
-        for (unsigned b = a + 1; b < 8; ++b)
+    for (unsigned a = 0; a < mi300xOctoDevices; ++a) {
+        for (unsigned b = a + 1; b < mi300xOctoDevices; ++b)
             node->connect(a, b, 1, false);
     }
     // The last link of each accelerator is PCIe back to a host.
-    for (unsigned a = 0; a < 8; ++a)
+    for (unsigned a = 0; a < mi300xOctoDevices; ++a)
         node->connect(a, a < 4 ? host0 : host1, 1, true);
     return node;
 }

@@ -32,6 +32,9 @@ namespace soc
 /** x16 links (IF or IF/PCIe capable) an MI300 socket exposes. */
 constexpr unsigned mi300LinksPerSocket = 8;
 
+/** MI300X accelerators (device ranks) in the Fig. 18(b) octo node. */
+constexpr unsigned mi300xOctoDevices = 8;
+
 /** How a socket-to-socket connection is realized. */
 struct SocketLink
 {

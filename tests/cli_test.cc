@@ -85,10 +85,12 @@ TEST(CliSweep, PlainSweepStillWorks)
 
 TEST(CliFlags, MalformedInputExitsTwo)
 {
-    // Each row must exit 2 with a message naming the flag or value:
-    // never abort (exit 134), run with a truncated or wrapped number
-    // or a defaulted enumerated value, or hang (--warmup -1 would
-    // run 2^32-1 warmups; runCli's timeout fails it).
+    // Each row must exit 2 with one message naming the flag or
+    // value: never abort (exit 134), run with a truncated or wrapped
+    // number or a defaulted enumerated value, or hang (--warmup -1
+    // would run 2^32-1 warmups; runCli's timeout fails it). A bad
+    // serve value is caught before any of its jobs starts, so it is
+    // reported once, not once per (device, load) job.
     struct Case
     {
         const char *args;
@@ -117,12 +119,32 @@ TEST(CliFlags, MalformedInputExitsTwo)
         {"fault --kill a:b@-5", "bad link fault 'a:b@-5'"},
         {"serve --blackout 3x@5", "bad blackout spec '3x@5'"},
         {"comm --jsno x.json", "unknown flag '--jsno'"},
+        // tp 9 and 10 reach the octo node's EPYC hosts, tp 16 runs
+        // off its endpoints.
+        {"serve --tp 9", "tp 9 exceeds the 8 accelerators"},
+        {"serve --tp 10", "tp 10 exceeds the 8 accelerators"},
+        {"serve --tp 16", "tp 16 exceeds the 8 accelerators"},
+        {"serve --tp 0", "tp/token_budget/max_batch/block_tokens must "
+                         "be nonzero"},
+        {"serve --loads 0", "arrival rate must be positive, got 0"},
+        {"serve --max-batch 0", "tp/token_budget/max_batch/"
+                                "block_tokens must be nonzero"},
+        {"serve --token-budget 0", "tp/token_budget/max_batch/"
+                                   "block_tokens must be nonzero"},
+        {"serve --input-tokens 0", "mean token counts must be nonzero"},
+        // serve runs on the serial kernel only.
+        {"serve --pdes 2", "unknown flag '--pdes'"},
     };
     for (const auto &c : cases) {
         const auto res = runCli(c.args, "malformed");
         EXPECT_EQ(res.exit_code, 2) << c.args << "\n" << res.stderr_text;
-        EXPECT_NE(res.stderr_text.find(c.stderr_has), std::string::npos)
+        const auto first = res.stderr_text.find(c.stderr_has);
+        EXPECT_NE(first, std::string::npos)
             << c.args << "\n" << res.stderr_text;
+        EXPECT_EQ(res.stderr_text.find(c.stderr_has, first + 1),
+                  std::string::npos)
+            << c.args << ": reported more than once\n"
+            << res.stderr_text;
     }
 }
 

@@ -101,30 +101,6 @@ TEST(LintFixtures, EventNewAllowedIsClean)
     EXPECT_TRUE(lintFixture("event_new_allowed.cc").empty());
 }
 
-TEST(LintFixtures, EventAllocBadIsFlagged)
-{
-    const auto findings = lintFixture("event_alloc_bad.cc");
-    std::size_t alloc = 0, raw = 0;
-    for (const Finding &f : findings) {
-        if (f.rule == Rule::eventAlloc)
-            ++alloc;
-        else if (f.rule == Rule::eventNew)
-            ++raw;
-        else
-            ADD_FAILURE() << toString(f);
-    }
-    // One new LambdaEvent plus two capturing scheduleLambda calls;
-    // the capture-less lambda and the array index stay clean. The
-    // same new also trips event-new (complementary guidance).
-    EXPECT_EQ(alloc, 3u);
-    EXPECT_EQ(raw, 1u);
-}
-
-TEST(LintFixtures, EventAllocAllowedIsClean)
-{
-    EXPECT_TRUE(lintFixture("event_alloc_allowed.cc").empty());
-}
-
 TEST(LintFixtures, DupStatBadIsFlagged)
 {
     const auto findings = lintFixture("dup_stat_bad.cc");
@@ -273,20 +249,6 @@ TEST(LintUnit, DefaultWhitelistExemptsWallTimer)
     Options strict;
     strict.default_whitelist = false;
     EXPECT_EQ(lintContent("src/sim/wall_timer.cc", src, strict).size(), 1u);
-}
-
-TEST(LintUnit, DefaultWhitelistExemptsEventQueueAlloc)
-{
-    // The queue's own scheduleLambda() implementation and its
-    // oversized-callable fallback live in sim/event_queue.
-    const std::string src =
-        "void f(Q &eq) { eq.scheduleLambda(1, [&eq] {}); }\n";
-    EXPECT_TRUE(
-        lintContent("src/sim/event_queue.cc", src, Options{}).empty());
-    const auto findings =
-        lintContent("src/comm/comm_group.cc", src, Options{});
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(ruleName(findings[0].rule), std::string("event-alloc"));
 }
 
 TEST(LintUnit, ChunkAllocAppliesOnlyUnderCommPaths)

@@ -5,17 +5,16 @@
  *
  * The PDES contract is absolute: a simulation run on N partitions
  * produces byte-identical output to the serial kernel, for any N.
- * Each test here renders a full run — the complete stats tree, or a
- * whole serving document — to a string under serial execution and
- * under --pdes-style execution with 1, 2, and 8 partitions, and
- * EXPECT_EQs the strings. A mismatch prints the first diverging
- * stat, which localizes the offending event ordering.
+ * Each test here renders a full run — the complete stats tree — to
+ * a string under serial execution and under --pdes-style execution
+ * with 1, 2, and 8 partitions, and EXPECT_EQs the strings. A
+ * mismatch prints the first diverging stat, which localizes the
+ * offending event ordering.
  *
- * Three workloads cover the three synchronization regimes:
+ * Two workloads cover the two synchronization regimes:
  *  - every octo-node collective, ring and direct: steady-state
- *    parallel windows, every partition group independent;
- *  - a fixed-seed TP-2 serving run: coordinator-heavy (the batcher
- *    lives on the serial queue) with bursts of partitioned chunks;
+ *    parallel windows, every partition group independent, with
+ *    coordinator steps for op starts and completions in between;
  *  - a fault storm with a mid-run link kill: the placement collapse
  *    path, where a detoured route forces every partition into one
  *    merged group at a window boundary.
@@ -24,13 +23,14 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "comm/comm_group.hh"
 #include "fault/fault_plan.hh"
-#include "serve/scenario.hh"
 #include "sim/json.hh"
+#include "sim/pdes/pdes_engine.hh"
 #include "soc/comm_world.hh"
 
 using namespace ehpsim;
@@ -106,25 +106,6 @@ faultStormRun(unsigned pdes)
     return record(w);
 }
 
-/** A fixed-seed TP-2 serving run rendered as its full JSON
- *  document (params + metrics + stats tree). */
-std::string
-serveDoc(unsigned pdes)
-{
-    serve::ScenarioParams p;
-    p.device = "mi300x";
-    p.tp = 2;
-    p.num_requests = 8;
-    p.seed = 42;
-    p.load_rps = 1.0;
-    p.pdes = pdes;
-    const auto r = serve::runServingScenario(p);
-    std::ostringstream ss;
-    json::JsonWriter jw(ss);
-    serve::dumpScenario(jw, p, r);
-    return ss.str();
-}
-
 } // anonymous namespace
 
 TEST(Pdes, EveryCollectiveMatchesSerialForAnyPartitionCount)
@@ -174,14 +155,6 @@ TEST(Pdes, FaultStormWithMidRunKillMatchesSerial)
     }
 }
 
-TEST(Pdes, ServingScenarioMatchesSerial)
-{
-    const std::string serial = serveDoc(0);
-    ASSERT_NE(serial.find("\"completed\": 8"), std::string::npos);
-    for (const unsigned n : {1u, 2u, 8u})
-        EXPECT_EQ(serveDoc(n), serial) << "pdes=" << n;
-}
-
 TEST(Pdes, EngineReportsParallelProgress)
 {
     // White-box: the octo all-reduce at 8 partitions must actually
@@ -196,4 +169,10 @@ TEST(Pdes, EngineReportsParallelProgress)
     EXPECT_GT(w.engine->numGroups(), 1u);
     EXPECT_GT(w.engine->windows(), 0u);
     EXPECT_GT(w.engine->totalProcessed(), 0u);
+}
+
+TEST(Pdes, EngineNeedsAFabric)
+{
+    EventQueue eq;
+    EXPECT_THROW(pdes::PdesEngine(&eq, nullptr, 2), std::runtime_error);
 }

@@ -77,7 +77,7 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
               std::string::npos);
     EXPECT_NE(doc.find("\"quick\": true"), std::string::npos);
     for (const char *name :
-         {"schedule_churn", "oneshot_storm", "oneshot_storm_pooled",
+         {"schedule_churn", "oneshot_storm_pooled",
           "comm_allreduce_octo", "comm_allreduce_octo_pdes",
           "fault_storm", "checkpoint_fork"}) {
         EXPECT_NE(doc.find(std::string("\"name\": \"") + name + "\""),

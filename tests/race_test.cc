@@ -350,10 +350,10 @@ TEST(RaceEndToEnd, BatchedSameTickWritesAreFlagged)
     // Two independent events land at the same tick and both mutate
     // the same cell: exactly the hazard batched dispatch must not
     // reorder.
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
     eq.run();
@@ -370,10 +370,10 @@ TEST(RaceEndToEnd, DifferentTickWritesAreClean)
     AccessTracker t;
     race::TrackerScope scope(&t);
 
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
-    eq.scheduleLambda(200, [&root] {
+    eq.scheduleCallback(200, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
     eq.run();
@@ -387,7 +387,7 @@ TEST(RaceEndToEnd, MacrosIgnoreThreadsWithoutTracker)
     EventQueue eq;
     SimObject root(nullptr, "root", &eq);
     // No TrackerScope: the hooks must be inert, not crash.
-    eq.scheduleLambda(100, [&root] {
+    eq.scheduleCallback(100, [&root] {
         EHPSIM_TRACK_WRITE(&root, "hot");
     });
     eq.run();

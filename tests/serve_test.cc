@@ -241,6 +241,21 @@ TEST(ServingScenario, UnknownDeviceIsFatal)
     EXPECT_THROW(runServingScenario(p), std::runtime_error);
 }
 
+TEST(ServingScenario, TpBeyondTheOctoAcceleratorsIsFatal)
+{
+    // The octo node has 10 endpoints, but its last two are the EPYC
+    // hosts: TP may only shard over the 8 accelerators.
+    ScenarioParams p = tinyScenario();
+    p.tp = 8;
+    EXPECT_NO_THROW(p.validate());
+    for (const unsigned tp : {0u, 9u, 10u, 16u}) {
+        p.tp = tp;
+        EXPECT_THROW(p.validate(), std::runtime_error) << "tp=" << tp;
+        EXPECT_THROW(runServingScenario(p), std::runtime_error)
+            << "tp=" << tp;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Determinism: serving sweeps under a worker pool
 // ---------------------------------------------------------------------

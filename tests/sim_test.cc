@@ -172,46 +172,12 @@ TEST(EventQueue, DescheduleDeleteReuseSameTick)
     delete fresh;
 }
 
-TEST(EventQueue, RescheduleSelfDeletingEvent)
-{
-    // reschedule() must work for self-deleting events: the event
-    // still fires exactly once, at the new time, and is deleted by
-    // the queue as usual.
-    EventQueue eq;
-    int count = 0;
-    Tick fired_at = 0;
-    auto *ev = new LambdaEvent([&] {
-        ++count;
-        fired_at = eq.curTick();
-    });
-    eq.schedule(ev, 100);
-    eq.reschedule(ev, 400);
-    eq.reschedule(ev, 250);
-    eq.run();
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(fired_at, 250u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_EQ(eq.numProcessed(), 1u);
-}
-
-TEST(EventQueue, DescheduleSelfDeletingPanicsWithLeakMessage)
-{
-    EventQueue eq;
-    auto *ev = new LambdaEvent([] {});
-    eq.schedule(ev, 100);
-    EXPECT_DEATH(eq.deschedule(ev), "leak");
-    // In the parent the event is still queued; letting it fire frees
-    // it (the only way a self-deleting event may leave the queue).
-    eq.run();
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, LambdaEventsSelfDelete)
+TEST(EventQueue, OneShotsAreReclaimedAfterFiring)
 {
     EventQueue eq;
     int count = 0;
-    eq.scheduleLambda(10, [&] { ++count; });
-    eq.scheduleLambda(20, [&] { ++count; });
+    eq.scheduleCallback(10, [&] { ++count; });
+    eq.scheduleCallback(20, [&] { ++count; });
     eq.run();
     EXPECT_EQ(count, 2);
     EXPECT_TRUE(eq.empty());
@@ -223,9 +189,9 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
     int depth = 0;
     std::function<void()> chain = [&] {
         if (++depth < 5)
-            eq.scheduleLambda(eq.curTick() + 10, chain);
+            eq.scheduleCallback(eq.curTick() + 10, [&] { chain(); });
     };
-    eq.scheduleLambda(0, chain);
+    eq.scheduleCallback(0, [&] { chain(); });
     eq.run();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(eq.curTick(), 40u);
@@ -234,7 +200,7 @@ TEST(EventQueue, EventsCanScheduleMoreEvents)
 TEST(EventQueue, SchedulingInPastPanics)
 {
     EventQueue eq;
-    eq.scheduleLambda(100, [] {});
+    eq.scheduleCallback(100, [] {});
     eq.run();
     std::vector<int> log;
     RecordingEvent a(&log, 1);
@@ -275,20 +241,25 @@ TEST(EventQueue, GoldenTraceMatchesPreRewriteKernel)
     // tick 10 schedules a *higher*-priority event at its own tick,
     // another deschedules a pending victim, a third reschedules one.
     TraceEvent inject(&trace, 100, Event::maximumPriority);
-    eq.scheduleLambda(10, [&] { eq.schedule(&inject, 10); });
-    eq.scheduleLambda(10, [&] {
+    eq.scheduleCallback(10, [&] { eq.schedule(&inject, 10); });
+    eq.scheduleCallback(10, [&] {
         if (evs[22].scheduled())
             eq.deschedule(&evs[22]);
     });
-    eq.scheduleLambda(10, [&] {
+    eq.scheduleCallback(10, [&] {
         if (evs[25].scheduled())
             eq.reschedule(&evs[25], 55);
     });
 
-    // Self-deleting reschedule: fires once, at the final time.
-    auto *moved = new LambdaEvent([&] { trace += "L@moved "; });
-    eq.schedule(moved, 20);
-    eq.reschedule(moved, 45);
+    // Rescheduled before it fires: fires once, at the final time.
+    struct MovedEvent : Event
+    {
+        std::string *out;
+        explicit MovedEvent(std::string *o) : out(o) {}
+        void process() override { *out += "L@moved "; }
+    } moved(&trace);
+    eq.schedule(&moved, 20);
+    eq.reschedule(&moved, 45);
 
     // Partial run, then more work lands mid-stream.
     eq.run(30);
@@ -311,8 +282,7 @@ TEST(EventQueue, GoldenTraceMatchesPreRewriteKernel)
 TEST(EventQueue, PooledCallableDestroyedAfterFiring)
 {
     // The pool recycles the event's storage, but the captured state
-    // must be released the moment the callback has fired — exactly
-    // when deleting a LambdaEvent would have released it.
+    // must be released the moment the callback has fired.
     EventQueue eq;
     auto token = std::make_shared<int>(1);
     eq.scheduleCallback(10, [token] {});
@@ -324,13 +294,12 @@ TEST(EventQueue, PooledCallableDestroyedAfterFiring)
 TEST(EventQueue, DestructorReclaimsPendingOneShots)
 {
     // One-shots that never fire are reclaimed — callable destructors
-    // run — when the queue dies, for both pooled and heap-allocated
-    // events (ASan would flag the leak otherwise).
+    // run — when the queue dies (ASan would flag the leak otherwise).
     auto token = std::make_shared<int>(7);
     {
         EventQueue eq;
         eq.scheduleCallback(100, [token] {});
-        eq.scheduleLambda(200, [token] {});
+        eq.scheduleCallback(200, [token] {});
         EXPECT_EQ(token.use_count(), 3);
     }
     EXPECT_EQ(token.use_count(), 1);
@@ -353,20 +322,29 @@ TEST(EventQueue, PoolCapacityBoundedAcrossWaves)
     EXPECT_EQ(eq.poolCapacity(), 256u);
 }
 
-TEST(EventQueue, OversizedCallableFallsBackToHeap)
+/** True when scheduleCallback() and scheduleKeyed() accept an
+ *  argument of type @p F (a reference type for an lvalue). */
+template <typename F>
+constexpr bool schedulable = requires(EventQueue &eq, F &&fn) {
+    eq.scheduleCallback(Tick{10}, std::forward<F>(fn));
+    eq.scheduleKeyed(Tick{10}, "k", 0, 0, std::forward<F>(fn));
+};
+
+TEST(EventQueue, OversizedCallableRejectedAtCompileTime)
 {
-    // Captures larger than the pool's inline storage still work;
-    // they take the heap-allocated LambdaEvent path and never touch
-    // the pool.
-    EventQueue eq;
+    // There is no heap fallback: a capture that outgrows the pool's
+    // inline slot, or a callable whose copy may throw, does not
+    // compile.
     std::array<std::uint64_t, 9> payload{};
-    static_assert(sizeof(payload) > inlineCallbackBytes);
     payload[8] = 42;
-    std::uint64_t seen = 0;
-    eq.scheduleCallback(10, [payload, &seen] { seen = payload[8]; });
-    eq.run();
-    EXPECT_EQ(seen, 42u);
-    EXPECT_EQ(eq.poolCapacity(), 0u);
+    auto big = [payload] { return payload[8]; };
+    static_assert(sizeof(big) == 72);
+    static_assert(!schedulable<decltype(big)>);
+    auto ref = [&payload] { return payload[8]; };
+    static_assert(schedulable<decltype(ref)>);
+    static_assert(!schedulable<const std::function<void()> &>);
+    static_assert(schedulable<std::function<void()>>);
+    EXPECT_EQ(big(), ref());
 }
 
 TEST(EventQueue, BatchMemberSchedulingHigherPrioritySameTick)

@@ -113,21 +113,6 @@ TEST(ServeCheckpoint, ByteIdenticalSerial)
     EXPECT_EQ(scenarioJson(straight, base), scenarioJson(straight, forked));
 }
 
-TEST(ServeCheckpoint, ByteIdenticalPdes)
-{
-    serve::ScenarioParams p = faultedTp4Params();
-    const auto probe = serve::runServingScenario(p);
-    placeInRun(p, probe.makespan_s);
-
-    serve::ScenarioParams straight = p;
-    straight.checkpoint_at = 0;
-    const auto base = serve::runServingScenario(straight);
-
-    p.pdes = 8;
-    const auto forked = serve::runServingScenario(p);
-    EXPECT_EQ(scenarioJson(straight, base), scenarioJson(straight, forked));
-}
-
 TEST(ServeCheckpoint, SplitSaveResumeMatchesStraight)
 {
     // The CLI --checkpoint path: save and resume as two separate

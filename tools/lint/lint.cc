@@ -252,7 +252,7 @@ collectUnorderedNames(const std::string &code,
 }
 
 /** Collect names declared as pointers to Event types ("Event *e",
- *  "LambdaEvent *ev", "auto *ev = new FooEvent"). */
+ *  "TraceEvent *ev", "auto *ev = new FooEvent"). */
 void
 collectEventPtrNames(const std::string &code,
                      std::set<std::string> &names)
@@ -584,7 +584,7 @@ checkEventNew(const FileLintState &st)
             st.report(Rule::eventNew, at,
                       "raw 'new " + type +
                           "' — events are created through EventQueue "
-                          "factory paths (scheduleLambda) so the "
+                          "factory paths (scheduleCallback) so the "
                           "queue controls their lifetime; raw "
                           "new/delete caused the PR 1 "
                           "use-after-free");
@@ -610,84 +610,6 @@ checkEventNew(const FileLintState &st)
                           "' of an event — only the EventQueue may "
                           "end a scheduled event's lifetime "
                           "(deschedule() first, or let it fire)");
-        }
-    }
-}
-
-void
-checkEventAlloc(const FileLintState &st)
-{
-    const std::string &code = st.code;
-    // new LambdaEvent: a std::function-backed heap allocation per
-    // one-shot. (event-new also fires on these outside the queue;
-    // this rule adds the "use the pool" guidance and catches the
-    // factory-internal pattern too.)
-    std::size_t p = 0;
-    while ((p = findWord(code, "new", p)) != std::string::npos) {
-        std::size_t i = skipSpace(code, p + 3);
-        const std::size_t at = p;
-        p += 3;
-        const std::string type = readQualifiedIdent(code, i);
-        if (type == "LambdaEvent" ||
-            type == "ehpsim::LambdaEvent") {
-            st.report(Rule::eventAlloc, at,
-                      "'new LambdaEvent' allocates a std::function "
-                      "event per one-shot — hot paths use "
-                      "EventQueue::scheduleCallback(), which "
-                      "constructs the callable in recycled pooled "
-                      "storage");
-        }
-    }
-    // scheduleLambda(..., [captures]...): the capturing lambda is
-    // converted to std::function, which allocates when the capture
-    // state outgrows the small-buffer optimization — and always
-    // costs a type-erased copy. Capture-less lambdas are cheap and
-    // not flagged.
-    p = 0;
-    while ((p = findWord(code, "scheduleLambda", p)) !=
-           std::string::npos) {
-        const std::size_t at = p;
-        p += std::string("scheduleLambda").size();
-        std::size_t i = skipSpace(code, p);
-        if (i >= code.size() || code[i] != '(')
-            continue;
-        int depth = 0;
-        for (std::size_t j = i; j < code.size(); ++j) {
-            const char c = code[j];
-            if (c == '(') {
-                ++depth;
-            } else if (c == ')') {
-                if (--depth == 0)
-                    break;
-            } else if (c == '[') {
-                const std::size_t close = code.find(']', j);
-                if (close == std::string::npos)
-                    break;
-                bool has_capture = false;
-                for (std::size_t k = j + 1; k < close; ++k) {
-                    if (!isSpace(code[k])) {
-                        has_capture = true;
-                        break;
-                    }
-                }
-                // A lambda introducer is followed by its parameter
-                // list or body; an array index ("arr[i]") is not.
-                const std::size_t after = skipSpace(code, close + 1);
-                const bool is_lambda =
-                    after < code.size() &&
-                    (code[after] == '(' || code[after] == '{');
-                if (has_capture && is_lambda) {
-                    st.report(
-                        Rule::eventAlloc, at,
-                        "scheduleLambda() with a capturing lambda "
-                        "pays a std::function conversion per call — "
-                        "hot paths use EventQueue::scheduleCallback()"
-                        ", which constructs the callable in recycled "
-                        "pooled storage");
-                    break;
-                }
-                j = close;
-            }
         }
     }
 }
@@ -1093,10 +1015,6 @@ lintOne(const std::string &file, const std::string &content,
              pathContains(file, "sim/rng"))) {
             return false;
         }
-        if ((r == Rule::eventNew || r == Rule::eventAlloc) &&
-            pathContains(file, "sim/event_queue")) {
-            return false;
-        }
         // Per-iteration vectors are ordinary C++ almost everywhere;
         // only the collective-construction hot path bans them.
         if (r == Rule::chunkAlloc && !pathContains(file, "comm/"))
@@ -1126,8 +1044,6 @@ lintOne(const std::string &file, const std::string &content,
         checkUnorderedIter(st);
     if (enabled(Rule::eventNew))
         checkEventNew(st);
-    if (enabled(Rule::eventAlloc))
-        checkEventAlloc(st);
     if (enabled(Rule::dupStat))
         checkDupStat(st);
     if (enabled(Rule::floatArith))
@@ -1168,8 +1084,6 @@ ruleName(Rule r)
         return "unordered-iter";
       case Rule::eventNew:
         return "event-new";
-      case Rule::eventAlloc:
-        return "event-alloc";
       case Rule::dupStat:
         return "dup-stat";
       case Rule::floatArith:
@@ -1202,10 +1116,10 @@ const std::vector<Rule> &
 allRules()
 {
     static const std::vector<Rule> rules = {
-        Rule::wallClock,  Rule::rawRand,    Rule::unorderedIter,
-        Rule::eventNew,   Rule::eventAlloc,
-        Rule::dupStat,    Rule::floatArith, Rule::chunkAlloc,
-        Rule::staticState, Rule::pointerKey, Rule::snapshotPair,
+        Rule::wallClock,   Rule::rawRand,     Rule::unorderedIter,
+        Rule::eventNew,    Rule::dupStat,     Rule::floatArith,
+        Rule::chunkAlloc,  Rule::staticState, Rule::pointerKey,
+        Rule::snapshotPair,
     };
     return rules;
 }
@@ -1227,12 +1141,7 @@ ruleRationale(Rule r)
       case Rule::eventNew:
         return "events are created and destroyed only through "
                "EventQueue paths; raw new/delete of events caused a "
-               "use-after-free (whitelist: sim/event_queue)";
-      case Rule::eventAlloc:
-        return "one-shot callbacks allocate unless they go through "
-               "the pooled EventQueue::scheduleCallback(); "
-               "new LambdaEvent / scheduleLambda(capturing) pay a "
-               "std::function per call (whitelist: sim/event_queue)";
+               "use-after-free";
       case Rule::dupStat:
         return "a stat name may register only once per group, or "
                "dump output silently aliases two counters";

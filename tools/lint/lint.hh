@@ -13,9 +13,6 @@
  *   unordered-iter  no iteration over std::unordered_map/_set
  *   event-new       events go through EventQueue factory paths, not
  *                   raw new/delete (the PR 1 use-after-free class)
- *   event-alloc     one-shot callbacks in hot paths use the pooled
- *                   scheduleCallback(), not an allocating
- *                   new LambdaEvent / scheduleLambda(capturing)
  *   dup-stat        a stat name registers at most once per group
  *   float-arith     no float in simulation arithmetic (use double)
  *   chunk-alloc     no per-iteration std::vector construction in
@@ -78,7 +75,6 @@ enum class Rule
     rawRand,
     unorderedIter,
     eventNew,
-    eventAlloc,
     dupStat,
     floatArith,
     chunkAlloc,
@@ -127,8 +123,8 @@ struct Options
 
     /**
      * Apply the built-in path whitelist (sim/wall_timer and sim/rng
-     * may touch the host clock and raw entropy; sim/event_queue owns
-     * event lifetimes). Disabled in fixture tests.
+     * may touch the host clock and raw entropy). Disabled in fixture
+     * tests.
      */
     bool default_whitelist = true;
 };
