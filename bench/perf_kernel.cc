@@ -26,6 +26,10 @@
  *                    blob into fresh worlds — the per-point cost a
  *                    forked sweep pays instead of re-simulating the
  *                    shared warmup prefix
+ *   mem_path         the memory transaction path (DESIGN.md "memory
+ *                    transaction path"): the fine-grained Fig. 15 CFD
+ *                    shape on one MI300A, counting the per-line work
+ *                    of caches, Infinity Cache, links and DRAM
  *
  * JSON contract: everything under a benchmark's "deterministic" key
  * is byte-identical run-to-run (same build, any host); everything
@@ -46,8 +50,13 @@
 #include <vector>
 
 #include "comm/comm_group.hh"
+#include "core/apu_system.hh"
+#include "fabric/link.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
+#include "mem/cache.hh"
+#include "mem/dram.hh"
+#include "mem/infinity_cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/json.hh"
 #include "sim/pdes/pdes_engine.hh"
@@ -56,7 +65,9 @@
 #include "sim/units.hh"
 #include "sim/wall_timer.hh"
 #include "soc/comm_world.hh"
+#include "soc/product_config.hh"
 #include "sweep/sweep_runner.hh"
+#include "workloads/generators.hh"
 
 using namespace ehpsim;
 
@@ -115,14 +126,16 @@ struct Sizes
     std::uint64_t comm_bytes;
     unsigned comm_iters;
     std::uint64_t fault_bytes;
+    // mem_path
+    std::uint64_t mem_cells;
 };
 
 Sizes
 sizesFor(bool quick)
 {
     if (quick)
-        return {2'000, 20, 64, 1'000, 16 * MiB, 1, 16 * MiB};
-    return {20'000, 100, 256, 5'000, 64 * MiB, 4, 64 * MiB};
+        return {2'000, 20, 64, 1'000, 16 * MiB, 1, 16 * MiB, 5'000};
+    return {20'000, 100, 256, 5'000, 64 * MiB, 4, 64 * MiB, 25'000};
 }
 
 class CountingEvent : public Event
@@ -365,6 +378,63 @@ benchCheckpointFork(const Sizes &sz, unsigned repeat)
     });
 }
 
+/** Per-line work of the memory path, summed from existing stats. */
+struct MemPathCounts
+{
+    std::uint64_t cache_accesses = 0;   ///< Cache hits + misses
+    std::uint64_t ic_accesses = 0;      ///< Infinity Cache hits + misses
+    std::uint64_t link_transfers = 0;
+    std::uint64_t dram_accesses = 0;    ///< DRAM reads + writes
+};
+
+void
+sumMemPath(const stats::StatGroup &g, MemPathCounts &c)
+{
+    const auto n = [](const stats::Scalar &s) {
+        return static_cast<std::uint64_t>(s.value());
+    };
+    if (const auto *cache = dynamic_cast<const mem::Cache *>(&g))
+        c.cache_accesses += n(cache->hits) + n(cache->misses);
+    else if (const auto *ic =
+                 dynamic_cast<const mem::InfinityCacheSlice *>(&g))
+        c.ic_accesses += n(ic->hits) + n(ic->misses);
+    else if (const auto *link = dynamic_cast<const fabric::Link *>(&g))
+        c.link_transfers += n(link->transfers);
+    else if (const auto *dram = dynamic_cast<const mem::DramChannel *>(&g))
+        c.dram_accesses += n(dram->reads) + n(dram->writes);
+    for (const stats::StatGroup *child : g.groupList())
+        sumMemPath(*child, c);
+}
+
+/**
+ * The memory transaction path: hostbench's apu_cfd fine-grained
+ * shape (cfdSolver over 256 workgroups, flag-based CPU/GPU overlap)
+ * on one MI300A. The memory path schedules no events, so the
+ * counters are the per-line work it did; the wall time covers the
+ * run, not building the package.
+ */
+BenchResult
+benchMemPath(const Sizes &sz, unsigned repeat)
+{
+    workloads::Workload work = workloads::cfdSolver(sz.mem_cells, 2);
+    for (auto &p : work.phases)
+        p.grid_workgroups = 256;
+    return bestOf("mem_path", repeat, [&](BenchResult &r) {
+        core::ApuSystem apu(soc::mi300aConfig());
+        WallTimer wt;
+        apu.run(work, 1, hsa::DistributionPolicy::roundRobin, true);
+        const double seconds = wt.seconds();
+        MemPathCounts c;
+        sumMemPath(apu, c);
+        r.det = {{"events_processed", apu.eventQueue().numProcessed()},
+                 {"cache_accesses", c.cache_accesses},
+                 {"ic_accesses", c.ic_accesses},
+                 {"link_transfers", c.link_transfers},
+                 {"dram_accesses", c.dram_accesses}};
+        return seconds;
+    });
+}
+
 void
 dumpJson(std::ostream &os, bool quick,
          const std::vector<BenchResult> &results)
@@ -446,6 +516,7 @@ main(int argc, char **argv)
         {"comm_allreduce_octo_pdes", benchCommAllReducePdes},
         {"fault_storm", benchFaultStorm},
         {"checkpoint_fork", benchCheckpointFork},
+        {"mem_path", benchMemPath},
     };
     std::vector<BenchResult> results;
     for (const auto &b : benches) {

@@ -237,6 +237,13 @@ Network::path(NodeId src, NodeId dst) const
 const LinkRoute &
 Network::linkRoute(NodeId src, NodeId dst) const
 {
+    // A filled slot under a valid source was resolved from a checked
+    // path() and is cleared with it (invalidateRoutes).
+    if (src < link_routes_.size() && routes_valid_[src]) {
+        const auto &per_src = link_routes_[src];
+        if (dst < per_src.size() && !per_src[dst].links.empty())
+            return per_src[dst];
+    }
     const auto &p = path(src, dst);
     auto &per_src = link_routes_[src];
     if (per_src.empty())

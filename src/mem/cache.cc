@@ -53,11 +53,19 @@ Cache::access(Tick when, Addr addr, std::uint64_t bytes, bool write)
     for (Addr la = first;; la += line) {
         const Tick issue = port_.occupy(when, line) + latency_ticks_;
         Tick line_done = issue;
-        if (array_.lookup(la)) {
+        // One set scan: a miss that allocates is filled up front (the
+        // fetch below never reads this array), a write-no-allocate
+        // miss leaves the set alone.
+        const bool allocate = !write || params_.write_allocate;
+        const auto probe =
+            allocate
+                ? array_.lookupOrFill(la, write && !params_.write_through)
+                : CacheArray::Fill{array_.lookup(la), std::nullopt};
+        if (probe.hit) {
             ++hits;
             if (write) {
-                auto way = array_.peek(la);
-                array_.line(la, *way).dirty = !params_.write_through;
+                if (!params_.write_through)
+                    array_.setDirty(la, *probe.hit);
                 if (params_.write_through && below_) {
                     auto r = below_->access(issue, la, line, true);
                     res.bytes_below += line;
@@ -67,7 +75,6 @@ Cache::access(Tick when, Addr addr, std::uint64_t bytes, bool write)
         } else {
             ++misses;
             res.hit = false;
-            const bool allocate = !write || params_.write_allocate;
             if (below_) {
                 // Fetch (or write through) the line below.
                 auto r = below_->access(issue, la, line,
@@ -75,20 +82,15 @@ Cache::access(Tick when, Addr addr, std::uint64_t bytes, bool write)
                 res.bytes_below += line;
                 line_done = r.complete;
             }
-            if (allocate) {
-                auto victim = array_.insert(
-                    la, write && !params_.write_through);
-                if (victim && victim->dirty) {
-                    // Issued at miss time, behind the fetch: issuing
-                    // at the response time would reserve downstream
-                    // bandwidth in the future and stall other
-                    // requestors (no-backfill occupancy model).
-                    ++writebacks;
-                    if (below_) {
-                        below_->access(issue, victim->tag, line,
-                                       true);
-                        res.bytes_below += line;
-                    }
+            if (probe.victim && probe.victim->dirty) {
+                // Issued at miss time, behind the fetch: issuing at
+                // the response time would reserve downstream
+                // bandwidth in the future and stall other requestors
+                // (no-backfill occupancy model).
+                ++writebacks;
+                if (below_) {
+                    below_->access(issue, probe.victim->tag, line, true);
+                    res.bytes_below += line;
                 }
             }
         }

@@ -1,6 +1,7 @@
 #include "mem/cache_array.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -34,6 +35,9 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
         fatal("cache geometry must be nonzero");
     if (!isPow2(line_bytes))
         fatal("cache line size must be a power of two");
+    if (line_bytes <= kFlags)
+        fatal("cache line size must be at least ", kFlags + 1,
+              " B (the tag word keeps its flags below the line)");
     if (size_bytes % (static_cast<std::uint64_t>(assoc) * line_bytes))
         fatal("cache size not divisible by assoc * line size");
     const std::uint64_t sets =
@@ -42,101 +46,110 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
         fatal("cache set count must be a power of two");
     num_sets_ = static_cast<unsigned>(sets);
     line_mask_ = line_bytes_ - 1;
-    lines_.resize(static_cast<std::size_t>(num_sets_) * assoc_);
+    line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes_));
+    set_mask_ = num_sets_ - 1;
+    blocks_.assign(2 * static_cast<std::size_t>(num_sets_) * assoc_, 0);
     plru_bits_.assign(num_sets_, 0);
 }
 
 unsigned
-CacheArray::setIndex(Addr addr) const
+CacheArray::findWay(const std::uint64_t *block, Addr tag) const
 {
-    return static_cast<unsigned>((addr / line_bytes_) % num_sets_);
+    // Dirty/prefetched are masked off; valid must be set.
+    const std::uint64_t want = tag | kValid;
+    for (unsigned way = 0; way < assoc_; ++way) {
+        if ((block[way] & ~(kDirty | kPrefetched)) == want)
+            return way;
+    }
+    return assoc_;
+}
+
+void
+CacheArray::touchHit(unsigned set, unsigned way)
+{
+    setBlock(set)[assoc_ + way] = ++use_counter_;
+    if (policy_ != ReplPolicy::plru)
+        return;
+    // Mark the path to this way as recently used.
+    std::uint32_t &bits = plru_bits_[set];
+    unsigned node = 1;
+    unsigned lo = 0, hi = assoc_;
+    while (hi - lo > 1) {
+        const unsigned mid = (lo + hi) / 2;
+        if (way < mid) {
+            bits |= (1u << node);
+            node = node * 2;
+            hi = mid;
+        } else {
+            bits &= ~(1u << node);
+            node = node * 2 + 1;
+            lo = mid;
+        }
+    }
 }
 
 std::optional<unsigned>
 CacheArray::lookup(Addr addr)
 {
-    const Addr tag = lineAlign(addr);
     const unsigned set = setIndex(addr);
-    for (unsigned way = 0; way < assoc_; ++way) {
-        CacheLine &l =
-            lines_[static_cast<std::size_t>(set) * assoc_ + way];
-        if (l.valid && l.tag == tag) {
-            touch(l);
-            if (policy_ == ReplPolicy::plru) {
-                // Mark the path to this way as recently used.
-                unsigned node = 1;
-                unsigned lo = 0, hi = assoc_;
-                while (hi - lo > 1) {
-                    const unsigned mid = (lo + hi) / 2;
-                    if (way < mid) {
-                        plru_bits_[set] |= (1u << node);
-                        node = node * 2;
-                        hi = mid;
-                    } else {
-                        plru_bits_[set] &= ~(1u << node);
-                        node = node * 2 + 1;
-                        lo = mid;
-                    }
-                }
-            }
-            return way;
-        }
-    }
-    return std::nullopt;
+    const unsigned way = findWay(setBlock(set), lineAlign(addr));
+    if (way == assoc_)
+        return std::nullopt;
+    touchHit(set, way);
+    return way;
 }
 
 std::optional<unsigned>
 CacheArray::peek(Addr addr) const
 {
-    const Addr tag = lineAlign(addr);
-    const unsigned set = setIndex(addr);
-    for (unsigned way = 0; way < assoc_; ++way) {
-        const CacheLine &l =
-            lines_[static_cast<std::size_t>(set) * assoc_ + way];
-        if (l.valid && l.tag == tag)
-            return way;
-    }
-    return std::nullopt;
-}
-
-CacheLine &
-CacheArray::line(Addr addr, unsigned way)
-{
-    const unsigned set = setIndex(addr);
-    return lines_[static_cast<std::size_t>(set) * assoc_ + way];
-}
-
-const CacheLine &
-CacheArray::line(Addr addr, unsigned way) const
-{
-    const unsigned set = setIndex(addr);
-    return lines_[static_cast<std::size_t>(set) * assoc_ + way];
+    const unsigned way =
+        findWay(setBlock(setIndex(addr)), lineAlign(addr));
+    if (way == assoc_)
+        return std::nullopt;
+    return way;
 }
 
 void
-CacheArray::touch(CacheLine &line)
+CacheArray::setDirty(Addr addr, unsigned way)
 {
-    line.last_use = ++use_counter_;
+    setBlock(setIndex(addr))[way] |= kDirty;
 }
 
-unsigned
-CacheArray::victimWay(unsigned set)
+bool
+CacheArray::takePrefetched(Addr addr, unsigned way)
 {
-    CacheLine *base = &lines_[static_cast<std::size_t>(set) * assoc_];
-    // Prefer an invalid way.
+    std::uint64_t &word = setBlock(setIndex(addr))[way];
+    const bool was = (word & kPrefetched) != 0;
+    word &= ~kPrefetched;
+    return was;
+}
+
+std::pair<unsigned, bool>
+CacheArray::scan(unsigned set, Addr tag)
+{
+    const std::uint64_t *block = setBlock(set);
+    const std::uint64_t *stamps = block + assoc_;
+    const std::uint64_t want = tag | kValid;
+    unsigned invalid = assoc_;
+    unsigned oldest = 0;
     for (unsigned way = 0; way < assoc_; ++way) {
-        if (!base[way].valid)
-            return way;
-    }
-    switch (policy_) {
-      case ReplPolicy::lru: {
-        unsigned victim = 0;
-        for (unsigned way = 1; way < assoc_; ++way) {
-            if (base[way].last_use < base[victim].last_use)
-                victim = way;
+        const std::uint64_t word = block[way];
+        if ((word & ~(kDirty | kPrefetched)) == want)
+            return {way, true};
+        if (!(word & kValid)) {
+            if (invalid == assoc_)
+                invalid = way;
+        } else if (stamps[way] < stamps[oldest]) {
+            // Only used when every way is valid, so an invalid way 0
+            // seeding 'oldest' never decides a victim.
+            oldest = way;
         }
-        return victim;
-      }
+    }
+    if (invalid != assoc_)
+        return {invalid, false};
+    switch (policy_) {
+      case ReplPolicy::lru:
+        return {oldest, false};
       case ReplPolicy::plru: {
         // Walk the tree away from recently-used halves.
         unsigned node = 1;
@@ -152,63 +165,89 @@ CacheArray::victimWay(unsigned set)
                 hi = mid;
             }
         }
-        return lo;
+        return {lo, false};
       }
       case ReplPolicy::random:
-        return static_cast<unsigned>(rng_.nextBounded(assoc_));
+        return {static_cast<unsigned>(rng_.nextBounded(assoc_)), false};
     }
     panic("bad replacement policy");
 }
 
 std::optional<CacheLine>
+CacheArray::place(unsigned set, unsigned way, Addr tag, bool dirty,
+                  bool prefetched)
+{
+    std::uint64_t *block = setBlock(set);
+    std::optional<CacheLine> victim;
+    if (block[way] & kValid)
+        victim = unpack(block[way]);
+    block[way] = pack(tag, dirty, prefetched);
+    block[assoc_ + way] = ++use_counter_;
+    return victim;
+}
+
+std::optional<CacheLine>
 CacheArray::insert(Addr addr, bool dirty, bool prefetched)
 {
-    const Addr tag = lineAlign(addr);
-    const unsigned set = setIndex(addr);
-
-    if (auto way = lookup(addr)) {
-        CacheLine &l = line(addr, *way);
-        l.dirty = l.dirty || dirty;
-        l.prefetched = l.prefetched && prefetched;
-        return std::nullopt;
+    const Fill f = fill(addr, true, dirty, prefetched);
+    if (f.hit) {
+        std::uint64_t &word = setBlock(setIndex(addr))[*f.hit];
+        if (dirty)
+            word |= kDirty;
+        if (!prefetched)
+            word &= ~kPrefetched;
     }
+    return f.victim;
+}
 
-    const unsigned way = victimWay(set);
-    CacheLine &l = lines_[static_cast<std::size_t>(set) * assoc_ + way];
-    std::optional<CacheLine> victim;
-    if (l.valid)
-        victim = l;
-    l.tag = tag;
-    l.valid = true;
-    l.dirty = dirty;
-    l.state = 0;
-    l.prefetched = prefetched;
-    touch(l);
-    return victim;
+CacheArray::Fill
+CacheArray::fill(Addr addr, bool touch, bool dirty, bool prefetched)
+{
+    const unsigned set = setIndex(addr);
+    const Addr tag = lineAlign(addr);
+    const auto [way, hit] = scan(set, tag);
+    if (!hit)
+        return {std::nullopt, place(set, way, tag, dirty, prefetched)};
+    if (touch)
+        touchHit(set, way);
+    return {way, std::nullopt};
+}
+
+CacheArray::Fill
+CacheArray::lookupOrFill(Addr addr, bool dirty)
+{
+    return fill(addr, true, dirty, false);
+}
+
+CacheArray::Fill
+CacheArray::fillAbsent(Addr addr, bool dirty, bool prefetched)
+{
+    return fill(addr, false, dirty, prefetched);
 }
 
 std::optional<CacheLine>
 CacheArray::invalidate(Addr addr)
 {
-    if (auto way = peek(addr)) {
-        CacheLine &l = line(addr, *way);
-        CacheLine old = l;
-        l.valid = false;
-        l.dirty = false;
-        return old;
-    }
-    return std::nullopt;
+    std::uint64_t *block = setBlock(setIndex(addr));
+    const unsigned way = findWay(block, lineAlign(addr));
+    if (way == assoc_)
+        return std::nullopt;
+    const CacheLine old = unpack(block[way]);
+    block[way] = 0;
+    return old;
 }
 
 std::vector<CacheLine>
 CacheArray::flushAll()
 {
     std::vector<CacheLine> dirty;
-    for (auto &l : lines_) {
-        if (l.valid && l.dirty)
-            dirty.push_back(l);
-        l.valid = false;
-        l.dirty = false;
+    for (unsigned set = 0; set < num_sets_; ++set) {
+        std::uint64_t *block = setBlock(set);
+        for (unsigned way = 0; way < assoc_; ++way) {
+            if ((block[way] & (kValid | kDirty)) == (kValid | kDirty))
+                dirty.push_back(unpack(block[way]));
+            block[way] = 0;
+        }
     }
     return dirty;
 }
@@ -217,9 +256,10 @@ std::uint64_t
 CacheArray::numValid() const
 {
     std::uint64_t n = 0;
-    for (const auto &l : lines_) {
-        if (l.valid)
-            ++n;
+    for (unsigned set = 0; set < num_sets_; ++set) {
+        const std::uint64_t *block = setBlock(set);
+        for (unsigned way = 0; way < assoc_; ++way)
+            n += block[way] & kValid;
     }
     return n;
 }
@@ -233,16 +273,19 @@ CacheArray::snapshot(SnapshotWriter &w) const
     rng_.snapshot(w);
     w.putU64(use_counter_);
     w.putU64(numValid());
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        const CacheLine &l = lines_[i];
-        if (!l.valid)
-            continue;
-        w.putU64(i);
-        w.putU64(l.tag);
-        w.putBool(l.dirty);
-        w.putU8(l.state);
-        w.putU64(l.last_use);
-        w.putBool(l.prefetched);
+    for (unsigned set = 0; set < num_sets_; ++set) {
+        const std::uint64_t *block = setBlock(set);
+        for (unsigned way = 0; way < assoc_; ++way) {
+            if (!(block[way] & kValid))
+                continue;
+            const CacheLine l = unpack(block[way]);
+            w.putU64(static_cast<std::uint64_t>(set) * assoc_ + way);
+            w.putU64(l.tag);
+            w.putBool(l.dirty);
+            w.putU8(0);
+            w.putU64(block[assoc_ + way]);
+            w.putBool(l.prefetched);
+        }
     }
     std::uint64_t nonzero = 0;
     for (std::uint32_t bits : plru_bits_) {
@@ -272,20 +315,28 @@ CacheArray::restore(SnapshotReader &r)
     }
     rng_.restore(r);
     use_counter_ = r.getU64();
-    lines_.assign(lines_.size(), CacheLine{});
+    std::fill(blocks_.begin(), blocks_.end(), 0);
+    const std::uint64_t lines =
+        static_cast<std::uint64_t>(num_sets_) * assoc_;
     const std::uint64_t valid = r.getU64();
     for (std::uint64_t i = 0; i < valid; ++i) {
         const std::uint64_t idx = r.getU64();
-        if (idx >= lines_.size())
+        if (idx >= lines)
             fatal("cache snapshot line index ", idx,
                   " out of range — corrupt checkpoint");
-        CacheLine &l = lines_[idx];
-        l.valid = true;
-        l.tag = r.getU64();
-        l.dirty = r.getBool();
-        l.state = r.getU8();
-        l.last_use = r.getU64();
-        l.prefetched = r.getBool();
+        const Addr tag = r.getU64();
+        if (tag & line_mask_)
+            fatal("cache snapshot tag ", tag,
+                  " is not line-aligned — corrupt checkpoint");
+        const bool dirty = r.getBool();
+        r.getU8();      // retired per-line coherence state, always 0
+        const std::uint64_t stamp = r.getU64();
+        const bool prefetched = r.getBool();
+        std::uint64_t *block =
+            setBlock(static_cast<unsigned>(idx / assoc_));
+        const unsigned way = static_cast<unsigned>(idx % assoc_);
+        block[way] = pack(tag, dirty, prefetched);
+        block[assoc_ + way] = stamp;
     }
     plru_bits_.assign(num_sets_, 0);
     const std::uint64_t nonzero = r.getU64();
@@ -302,13 +353,13 @@ bool
 CacheArray::tagsUnique() const
 {
     for (unsigned set = 0; set < num_sets_; ++set) {
-        const CacheLine *base =
-            &lines_[static_cast<std::size_t>(set) * assoc_];
+        const std::uint64_t *block = setBlock(set);
         for (unsigned i = 0; i < assoc_; ++i) {
-            if (!base[i].valid)
+            if (!(block[i] & kValid))
                 continue;
             for (unsigned j = i + 1; j < assoc_; ++j) {
-                if (base[j].valid && base[j].tag == base[i].tag)
+                if ((block[j] & kValid) &&
+                    (block[j] & ~kFlags) == (block[i] & ~kFlags))
                     return false;
             }
         }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -34,17 +35,24 @@ enum class ReplPolicy
     random,     ///< uniform random victim
 };
 
-/** Per-line metadata. */
+/** A line's contents as handed out for a victim or a flushed line. */
 struct CacheLine
 {
-    Addr tag = 0;
-    bool valid = false;
+    Addr tag = 0;               ///< line-aligned address
     bool dirty = false;
-    std::uint8_t state = 0;     ///< coherence state (module-defined)
-    std::uint64_t last_use = 0; ///< LRU timestamp
     bool prefetched = false;    ///< filled by a prefetcher
+
+    bool operator==(const CacheLine &) const = default;
 };
 
+/**
+ * Storage: one flat word vector of set blocks. Set s occupies
+ * 2 * assoc words starting at 2 * assoc * s: assoc tag words, then
+ * the same ways' assoc LRU stamps, so one access touches one
+ * contiguous block. A tag word is the line-aligned address with the
+ * valid/dirty/prefetched flags in its low three bits (line alignment
+ * leaves them zero; lines are at least 8 B). That is 16 B per line.
+ */
 class CacheArray
 {
   public:
@@ -71,7 +79,11 @@ class CacheArray
     Addr lineAlign(Addr addr) const { return addr & ~line_mask_; }
 
     /** Set index of @p addr. */
-    unsigned setIndex(Addr addr) const;
+    unsigned
+    setIndex(Addr addr) const
+    {
+        return static_cast<unsigned>(addr >> line_shift_) & set_mask_;
+    }
 
     /**
      * Look up @p addr; on hit returns the way and updates recency.
@@ -81,18 +93,43 @@ class CacheArray
     /** Look up without updating replacement state. */
     std::optional<unsigned> peek(Addr addr) const;
 
-    /** Access a line found by lookup()/insert(). */
-    CacheLine &line(Addr addr, unsigned way);
+    /** Mark the line at @p way of @p addr's set dirty. */
+    void setDirty(Addr addr, unsigned way);
 
-    const CacheLine &line(Addr addr, unsigned way) const;
+    /** Clear the prefetched flag of the line at @p way of @p addr's
+     *  set; @return whether it was set. */
+    bool takePrefetched(Addr addr, unsigned way);
 
     /**
-     * Insert @p addr, evicting if needed.
+     * Insert @p addr, evicting if needed. A hit merges the flags
+     * (dirty sticks, prefetched only while every fill was one) and
+     * updates recency like lookup().
      * @return the victim line's previous contents when a valid dirty
      *         or clean line was displaced (for writeback decisions).
      */
     std::optional<CacheLine> insert(Addr addr, bool dirty,
                                     bool prefetched = false);
+
+    /** Outcome of lookupOrFill() and fillAbsent(). */
+    struct Fill
+    {
+        std::optional<unsigned> hit;     ///< way already holding addr
+        std::optional<CacheLine> victim; ///< as for insert()
+    };
+
+    /**
+     * A demand access in one set scan: lookup() on a hit, and on a
+     * miss insert(addr, dirty) — the fill a miss makes after
+     * fetching the line below, done before the fetch, which never
+     * reads this array.
+     */
+    Fill lookupOrFill(Addr addr, bool dirty);
+
+    /**
+     * Insert @p addr only if it is absent; a present line is left
+     * untouched (no recency update). One set scan either way.
+     */
+    Fill fillAbsent(Addr addr, bool dirty, bool prefetched);
 
     /** Invalidate @p addr if present; @return the old line. */
     std::optional<CacheLine> invalidate(Addr addr);
@@ -109,31 +146,84 @@ class CacheArray
     /**
      * @{ Checkpoint the replacement state and the valid lines
      * (DESIGN.md §16). Sparse: only valid lines and nonzero PLRU
-     * words are written — a residual field on an invalidated line
-     * is never observed (lookup/victimWay gate on valid, insert
-     * overwrites every field), so dropping them is behaviorally
+     * words are written — a residual stamp on an invalidated line
+     * is never observed (every scan gates on valid, a fill rewrites
+     * the tag word and stamp), so dropping them is behaviorally
      * identical and keeps an untouched multi-MiB array to a few
-     * bytes. restore() fatals when the saved geometry disagrees
-     * with the configured one.
+     * bytes. Each line record keeps a zero byte where a per-line
+     * coherence state once sat, so the format is unchanged.
+     * restore() fatals when the saved geometry disagrees with the
+     * configured one.
      */
     void snapshot(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
     /** @} */
 
   private:
-    unsigned victimWay(unsigned set);
+    /** @{ tag-word flag bits */
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+    static constexpr std::uint64_t kPrefetched = 4;
+    static constexpr std::uint64_t kFlags = kValid | kDirty | kPrefetched;
+    /** @} */
 
-    void touch(CacheLine &line);
+    /** Tag words of @p set; its LRU stamps follow at [assoc, 2 assoc). */
+    std::uint64_t *
+    setBlock(unsigned set)
+    {
+        return &blocks_[2 * static_cast<std::size_t>(set) * assoc_];
+    }
+
+    const std::uint64_t *
+    setBlock(unsigned set) const
+    {
+        return &blocks_[2 * static_cast<std::size_t>(set) * assoc_];
+    }
+
+    /** Way holding @p tag in @p block, or assoc_ on a miss. */
+    unsigned findWay(const std::uint64_t *block, Addr tag) const;
+
+    /**
+     * One pass over @p set for @p tag: @return {way, hit}. On a miss
+     * the way is the first invalid one, else the policy's victim.
+     */
+    std::pair<unsigned, bool> scan(unsigned set, Addr tag);
+
+    /** Scan once; a hit is touched if @p touch, a miss is filled. */
+    Fill fill(Addr addr, bool touch, bool dirty, bool prefetched);
+
+    /** Fill @p way of @p set with @p tag; @return the displaced line. */
+    std::optional<CacheLine> place(unsigned set, unsigned way, Addr tag,
+                                   bool dirty, bool prefetched);
+
+    /** Record a hit on @p way: LRU stamp and PLRU path. */
+    void touchHit(unsigned set, unsigned way);
+
+    static std::uint64_t
+    pack(Addr tag, bool dirty, bool prefetched)
+    {
+        return tag | kValid | (dirty ? kDirty : 0) |
+               (prefetched ? kPrefetched : 0);
+    }
+
+    static CacheLine
+    unpack(std::uint64_t word)
+    {
+        return {word & ~kFlags, (word & kDirty) != 0,
+                (word & kPrefetched) != 0};
+    }
 
     std::uint64_t size_bytes_;
     unsigned assoc_;
     unsigned line_bytes_;
     unsigned num_sets_;
     Addr line_mask_;
+    unsigned line_shift_;
+    unsigned set_mask_;
     ReplPolicy policy_;
     Rng rng_;
     std::uint64_t use_counter_ = 0;
-    std::vector<CacheLine> lines_;          ///< sets * assoc, row-major
+    std::vector<std::uint64_t> blocks_;     ///< set blocks, see above
     std::vector<std::uint32_t> plru_bits_;  ///< per-set PLRU tree
 };
 

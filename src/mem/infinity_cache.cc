@@ -47,25 +47,24 @@ InfinityCacheSlice::access(Tick when, Addr addr, std::uint64_t bytes,
         const Tick issue =
             port_.occupy(when, line) + params_.hit_latency;
         Tick line_done = issue;
-        if (auto way = array_.lookup(la)) {
+        // Even writes fill: memory-side caches absorb partial-line
+        // writes by read-modify-write.
+        const auto demand = array_.lookupOrFill(la, write);
+        if (demand.hit) {
             ++hits;
-            CacheLine &l = array_.line(la, *way);
-            if (l.prefetched) {
+            if (array_.takePrefetched(la, *demand.hit))
                 ++prefetch_hits;
-                l.prefetched = false;
-            }
             if (write)
-                l.dirty = true;
+                array_.setDirty(la, *demand.hit);
         } else {
             ++misses;
             res.hit = false;
-            // Fetch the line from HBM (even writes fill: memory-side
-            // caches absorb partial-line writes by read-modify-write).
+            // Fetch the line from HBM.
             auto r = channel_->access(issue, la, line, false);
             bytes_from_hbm += line;
             res.bytes_below += line;
             line_done = r.complete;
-            auto victim = array_.insert(la, write);
+            const auto &victim = demand.victim;
             if (victim && victim->dirty) {
                 // The writeback enters the channel queue right behind
                 // the fetch; issuing it at the (later) response time
@@ -80,14 +79,14 @@ InfinityCacheSlice::access(Tick when, Addr addr, std::uint64_t bytes,
             // behind the demand fetch, off the critical path.
             Addr pf = la + line;
             for (unsigned d = 0; d < params_.prefetch_depth; ++d) {
-                if (!array_.peek(pf)) {
+                const auto fill = array_.fillAbsent(pf, false, true);
+                if (!fill.hit) {
                     ++prefetch_issued;
                     channel_->access(issue, pf, line, false);
                     bytes_from_hbm += line;
-                    auto pf_victim = array_.insert(pf, false, true);
-                    if (pf_victim && pf_victim->dirty) {
+                    if (fill.victim && fill.victim->dirty) {
                         ++writebacks;
-                        channel_->access(issue, pf_victim->tag,
+                        channel_->access(issue, fill.victim->tag,
                                          line, true);
                         bytes_from_hbm += line;
                     }

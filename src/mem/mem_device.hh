@@ -200,6 +200,7 @@ class OccupancyTracker
     {
         if (mark <= floor_)
             return;
+        memo_ = PageMemo{};
         // Slots below the floor's page are already freed.
         const std::size_t from = slotBelow(floor_);
         floor_ = mark;
@@ -237,6 +238,7 @@ class OccupancyTracker
     reset()
     {
         pages_.clear();
+        memo_ = PageMemo{};
         base_page_ = 0;
         floor_ = 0;
         last_done_ = 0;
@@ -285,6 +287,7 @@ class OccupancyTracker
     restore(SnapshotReader &r)
     {
         pages_.clear();
+        memo_ = PageMemo{};
         bytes_per_tick_ = r.getF64();
         window_ = r.getU64();
         last_done_ = r.getU64();
@@ -331,6 +334,8 @@ class OccupancyTracker
     pageFor(std::uint64_t w)
     {
         const std::uint64_t p = w >> kPageBits;
+        if (p == memo_.page)
+            return *memo_.ptr;
         if (pages_.empty())
             base_page_ = p;
         if (p < base_page_) {
@@ -349,6 +354,7 @@ class OccupancyTracker
             pages_.resize(idx + 1);
         if (!pages_[idx])
             pages_[idx] = std::make_unique<Page>();
+        memo_ = PageMemo{p, pages_[idx].get()};
         return *pages_[idx];
     }
 
@@ -416,6 +422,37 @@ class OccupancyTracker
         return free;
     }
 
+    /**
+     * The last page pageFor() returned. Most calls land on it (a
+     * memory device's per-line occupy() stays in one page for ~512
+     * windows). Page objects never move, so the pointer holds until
+     * a page is freed: retireBefore(), reset() and restore() clear
+     * it, and a move hands it to the new owner and clears the
+     * source, whose page table is then empty.
+     */
+    struct PageMemo
+    {
+        static constexpr std::uint64_t kNone = ~0ull;
+
+        std::uint64_t page = kNone;
+        Page *ptr = nullptr;
+
+        PageMemo() = default;
+        PageMemo(std::uint64_t pg, Page *p) : page(pg), ptr(p) {}
+        PageMemo(PageMemo &&o) noexcept
+            : page(std::exchange(o.page, kNone)),
+              ptr(std::exchange(o.ptr, nullptr))
+        {
+        }
+        PageMemo &
+        operator=(PageMemo &&o) noexcept
+        {
+            page = std::exchange(o.page, kNone);
+            ptr = std::exchange(o.ptr, nullptr);
+            return *this;
+        }
+    };
+
     double bytes_per_tick_ = 0.0;
     Tick window_ = 1000;
     /** Page table; slot i holds page @c base_page_ + i. Slots below
@@ -425,6 +462,7 @@ class OccupancyTracker
     /** No occupy() may start before this tick (retireBefore()). */
     Tick floor_ = 0;
     Tick last_done_ = 0;
+    PageMemo memo_;
 };
 
 } // namespace mem

@@ -69,6 +69,15 @@ ScenarioParams::validate() const
               soc::mi300xOctoDevices, " accelerators of the octo node");
     arrivalParams(*this).validate();
     faults.validate();
+    // TP 1 builds neither the octo node nor a comm group, so a fault
+    // aimed at them has nothing to hit; the HBM (blackouts) is
+    // always attached.
+    if (tp == 1 && faults.chunk_error_rate > 0.0)
+        fatal("serving scenario: tp 1 has no comm group for a chunk "
+              "error rate (", faults.chunk_error_rate, ")");
+    if (tp == 1 && !faults.link_faults.empty())
+        fatal("serving scenario: tp 1 has no node fabric for link "
+              "faults");
 }
 
 namespace

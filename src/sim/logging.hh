@@ -10,6 +10,8 @@
 #ifndef EHPSIM_SIM_LOGGING_HH
 #define EHPSIM_SIM_LOGGING_HH
 
+#include <cstdint>
+#include <source_location>
 #include <sstream>
 #include <string>
 
@@ -29,10 +31,10 @@ concat(Args&&... args)
     return oss.str();
 }
 
-[[noreturn]] void panicImpl(const std::string &msg, const char *file,
-                            int line);
-[[noreturn]] void fatalImpl(const std::string &msg, const char *file,
-                            int line);
+[[noreturn]] void panicImpl(const std::string &msg,
+                            const std::source_location &where);
+[[noreturn]] void fatalImpl(const std::string &msg,
+                            const std::source_location &where);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -44,25 +46,48 @@ void setQuiet(bool quiet);
 
 } // namespace logging_detail
 
-/** Abort: something happened that indicates an ehpsim bug. */
+/**
+ * Abort: something happened that indicates an ehpsim bug.
+ *
+ * panic and fatal are class templates so that the trailing
+ * source_location default argument is evaluated at the call site
+ * (a function template cannot put a defaulted parameter after its
+ * pack); the deduction guides keep the call syntax panic(a, b, ...).
+ * The message ends with the caller's file, relative to the source
+ * root, and line.
+ */
 template <typename... Args>
-[[noreturn]] void
-panic(Args&&... args)
+struct panic
 {
-    logging_detail::panicImpl(
-        logging_detail::concat(std::forward<Args>(args)...),
-        __builtin_FILE(), __builtin_LINE());
-}
+    [[noreturn]]
+    panic(Args &&...args,
+          const std::source_location &where =
+              std::source_location::current())
+    {
+        logging_detail::panicImpl(
+            logging_detail::concat(std::forward<Args>(args)...), where);
+    }
+};
+
+template <typename... Args>
+panic(Args &&...) -> panic<Args...>;
 
 /** Exit cleanly: the user supplied an invalid configuration. */
 template <typename... Args>
-[[noreturn]] void
-fatal(Args&&... args)
+struct fatal
 {
-    logging_detail::fatalImpl(
-        logging_detail::concat(std::forward<Args>(args)...),
-        __builtin_FILE(), __builtin_LINE());
-}
+    [[noreturn]]
+    fatal(Args &&...args,
+          const std::source_location &where =
+              std::source_location::current())
+    {
+        logging_detail::fatalImpl(
+            logging_detail::concat(std::forward<Args>(args)...), where);
+    }
+};
+
+template <typename... Args>
+fatal(Args &&...) -> fatal<Args...>;
 
 /** Report a suspicious but non-fatal condition. */
 template <typename... Args>

@@ -132,6 +132,11 @@ TEST(CliFlags, MalformedInputExitsTwo)
         {"serve --token-budget 0", "tp/token_budget/max_batch/"
                                    "block_tokens must be nonzero"},
         {"serve --input-tokens 0", "mean token counts must be nonzero"},
+        // TP 1 has no comm group or fabric for these to hit.
+        {"serve --tp 1 --error-rate 0.03",
+         "tp 1 has no comm group for a chunk error rate"},
+        {"serve --tp 1 --kill mi300x0:mi300x1@1000",
+         "tp 1 has no node fabric for link faults"},
         // serve runs on the serial kernel only.
         {"serve --pdes 2", "unknown flag '--pdes'"},
     };

@@ -16,6 +16,7 @@
 #include "mem/infinity_cache.hh"
 #include "mem/interleave.hh"
 #include "sim/rng.hh"
+#include "sim/snapshot.hh"
 
 using namespace ehpsim;
 using namespace ehpsim::mem;
@@ -265,6 +266,32 @@ TEST_P(CacheArrayPolicy, CapacityWorkingSetAlwaysHits)
     EXPECT_TRUE(arr.tagsUnique());
 }
 
+TEST_P(CacheArrayPolicy, FusedCallsMatchTheirTwoStepForms)
+{
+    // lookupOrFill == lookup, then insert on a miss; fillAbsent ==
+    // peek, then insert on a miss: same answers, same final state.
+    CacheArray fused(16 * 1024, 8, 128, GetParam(), 3);
+    CacheArray steps(16 * 1024, 8, 128, GetParam(), 3);
+    Rng rng(17);
+    for (int i = 0; i < 20000; ++i) {
+        const Addr a = rng.nextBounded(1 << 18);
+        const bool dirty = rng.nextBool(0.5);
+        const bool demand = rng.nextBool(0.7);
+        const auto f = demand ? fused.lookupOrFill(a, dirty)
+                              : fused.fillAbsent(a, dirty, true);
+        const auto way = demand ? steps.lookup(a) : steps.peek(a);
+        std::optional<CacheLine> victim;
+        if (!way)
+            victim = steps.insert(a, dirty, !demand);
+        ASSERT_EQ(f.hit, way) << "op " << i;
+        ASSERT_EQ(f.victim, victim) << "op " << i;
+    }
+    SnapshotWriter wf, ws;
+    fused.snapshot(wf);
+    steps.snapshot(ws);
+    EXPECT_EQ(wf.blob(), ws.blob());
+}
+
 INSTANTIATE_TEST_SUITE_P(Policies, CacheArrayPolicy,
                          ::testing::Values(ReplPolicy::lru,
                                            ReplPolicy::plru,
@@ -275,6 +302,77 @@ TEST(CacheArray, RejectsBadGeometry)
     EXPECT_THROW(CacheArray(100, 4, 64), std::runtime_error);
     EXPECT_THROW(CacheArray(8192, 0, 64), std::runtime_error);
     EXPECT_THROW(CacheArray(8192, 4, 48), std::runtime_error);
+    EXPECT_THROW(CacheArray(8192, 4, 4), std::runtime_error);
+}
+
+/**
+ * FNV-1a digest of 100k seeded lookup/insert/invalidate/flushAll
+ * operations: every outcome in order, then the final snapshot()
+ * bytes. The constants below were recorded on the 32-byte CacheLine
+ * array layout, so any storage change must replay the same hits,
+ * victims, replacement state and checkpoint bytes.
+ */
+namespace
+{
+
+std::uint64_t
+cacheArrayTraceDigest(ReplPolicy policy, unsigned assoc)
+{
+    CacheArray arr(64 * 1024, assoc, 64, policy, 7);
+    Rng rng(11);
+    SnapshotWriter w;
+    for (int i = 0; i < 100000; ++i) {
+        const Addr a = rng.nextBounded(1 << 18);
+        const std::uint64_t op = rng.nextBounded(100);
+        if (op < 45) {
+            const auto way = arr.lookup(a);
+            w.putU32(way ? *way : ~0u);
+        } else if (op < 50) {
+            const auto way = arr.peek(a);
+            w.putU32(way ? *way : ~0u);
+        } else if (op < 90) {
+            const auto victim =
+                arr.insert(a, rng.nextBool(0.5), op >= 80);
+            w.putU64(victim ? victim->tag : ~0ull);
+            w.putBool(victim && victim->dirty);
+            w.putBool(victim && victim->prefetched);
+        } else if (op < 99 || rng.nextBounded(50) != 0) {
+            const auto old = arr.invalidate(a);
+            w.putU64(old ? old->tag : ~0ull);
+            w.putBool(old && old->dirty);
+        } else {
+            for (const CacheLine &l : arr.flushAll())
+                w.putU64(l.tag);
+        }
+    }
+    w.putU64(arr.numValid());
+    arr.snapshot(w);
+    return fnv1a(w.blob());
+}
+
+} // anonymous namespace
+
+TEST(CacheArray, TraceDigestsPinned)
+{
+    struct Case
+    {
+        ReplPolicy policy;
+        unsigned assoc;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {ReplPolicy::lru, 4, 0x8824d5c624fafea0ull},
+        {ReplPolicy::lru, 16, 0x35e37a2be1403600ull},
+        {ReplPolicy::plru, 4, 0x32178d3eb0e20638ull},
+        {ReplPolicy::plru, 16, 0x30a132906c630903ull},
+        {ReplPolicy::random, 4, 0x4eb9b2305d71d551ull},
+        {ReplPolicy::random, 16, 0xaaebc43a0c2c44c2ull},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(cacheArrayTraceDigest(c.policy, c.assoc), c.digest)
+            << "policy " << static_cast<int>(c.policy) << ", "
+            << c.assoc << "-way";
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -118,6 +118,21 @@ TEST(Occupancy, ResetClearsHistory)
     EXPECT_LT(done, 2000u);
 }
 
+TEST(Occupancy, MoveHandsOverTheLastPageMemo)
+{
+    // pageFor() remembers the last page it returned. A move hands
+    // the memo to the new owner with the pages; the emptied source
+    // must start over, not write into a page it gave away.
+    OccupancyTracker a(1.0);
+    EXPECT_EQ(a.occupy(0, 512), 512u);
+    OccupancyTracker b = std::move(a);
+    EXPECT_EQ(a.occupy(0, 512), 512u);     // a fresh page of its own
+    // Window 0 ([0, 1024) at 1 B/tick) still has 512 B left for b;
+    // had a written into b's page, it would be full.
+    EXPECT_EQ(b.occupy(0, 512), 512u);
+    EXPECT_GT(b.occupy(0, 512), 1024u);    // now it is
+}
+
 TEST(Occupancy, DerateKeepsTheWindowGrid)
 {
     // Fill window 0 ([0, 1024) at 1 B/tick), then halve the rate. A

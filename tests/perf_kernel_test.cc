@@ -79,7 +79,7 @@ TEST(PerfKernel, QuickJsonHasSchemaAndBenchmarks)
     for (const char *name :
          {"schedule_churn", "oneshot_storm_pooled",
           "comm_allreduce_octo", "comm_allreduce_octo_pdes",
-          "fault_storm", "checkpoint_fork"}) {
+          "fault_storm", "checkpoint_fork", "mem_path"}) {
         EXPECT_NE(doc.find(std::string("\"name\": \"") + name + "\""),
                   std::string::npos)
             << "missing benchmark " << name;
@@ -139,8 +139,9 @@ TEST(PerfKernel, QuickJsonDeterministicModuloWall)
 
 TEST(PerfKernel, FabricBenchCountersMatchGoldens)
 {
-    // Pin the fabric-bound benches' deterministic counters to golden
-    // values. Run-to-run determinism (the test above) would not
+    // Pin the fabric- and memory-bound benches' deterministic
+    // counters to golden values. Run-to-run determinism (the test
+    // above) would not
     // catch a systematic timing change — e.g. a fast-path rewrite
     // that silently alters occupancy completion ticks or the chunk
     // DAG. These values encode the exact simulated schedule; a
@@ -170,6 +171,14 @@ TEST(PerfKernel, FabricBenchCountersMatchGoldens)
         {"final_tick", "1170378000"},
         {"chunk_retries", "11"},
         {"faults_injected", "13"},
+        // mem_path, quick: fine-grained cfdSolver(5K cells, 2 steps)
+        // over 256 workgroups on one MI300A; recorded on the 32-byte
+        // cache-line layout, so a tag-array or memory-path rewrite
+        // must replay the same per-line work.
+        {"cache_accesses", "135794"},
+        {"ic_accesses", "66622"},
+        {"link_transfers", "381090"},
+        {"dram_accesses", "57753"},
     };
     for (const auto &g : goldens) {
         const std::string needle =

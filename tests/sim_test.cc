@@ -662,6 +662,22 @@ TEST(Logging, FatalThrows)
     EXPECT_THROW(fatal("bad config value ", 42), std::runtime_error);
 }
 
+TEST(Logging, FatalNamesItsCallSite)
+{
+    testing::internal::CaptureStderr();
+    const unsigned line = __LINE__ + 1;
+    EXPECT_THROW(fatal("bad config value ", 42), std::runtime_error);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err, "fatal: bad config value 42 (tests/sim_test.cc:" +
+                       std::to_string(line) + ")\n");
+}
+
+TEST(LoggingDeathTest, PanicNamesItsCallSite)
+{
+    EXPECT_DEATH(panic("broken invariant"),
+                 "panic: broken invariant \\(tests/sim_test\\.cc:[0-9]+\\)");
+}
+
 TEST(Logging, WarnCounts)
 {
     logging_detail::setQuiet(true);
