@@ -20,8 +20,7 @@ Cache::Cache(SimObject *parent, const std::string &name,
       probe_invalidations(this, "probe_invalidations",
                           "lines invalidated by coherence probes"),
       params_(params),
-      array_(params.size_bytes, params.assoc, params.line_bytes,
-             params.policy),
+      array_(params.size_bytes, params.assoc, params.line_bytes),
       below_(below)
 {
     const Tick period = periodFromGHz(params.clock_ghz);
@@ -53,32 +52,19 @@ Cache::access(Tick when, Addr addr, std::uint64_t bytes, bool write)
     for (Addr la = first;; la += line) {
         const Tick issue = port_.occupy(when, line) + latency_ticks_;
         Tick line_done = issue;
-        // One set scan: a miss that allocates is filled up front (the
-        // fetch below never reads this array), a write-no-allocate
-        // miss leaves the set alone.
-        const bool allocate = !write || params_.write_allocate;
-        const auto probe =
-            allocate
-                ? array_.lookupOrFill(la, write && !params_.write_through)
-                : CacheArray::Fill{array_.lookup(la), std::nullopt};
+        // One set scan: a miss is filled up front (the fetch below
+        // never reads this array).
+        const auto probe = array_.lookupOrFill(la, write);
         if (probe.hit) {
             ++hits;
-            if (write) {
-                if (!params_.write_through)
-                    array_.setDirty(la, *probe.hit);
-                if (params_.write_through && below_) {
-                    auto r = below_->access(issue, la, line, true);
-                    res.bytes_below += line;
-                    line_done = r.complete;
-                }
-            }
+            if (write)
+                array_.setDirty(la, *probe.hit);
         } else {
             ++misses;
             res.hit = false;
             if (below_) {
-                // Fetch (or write through) the line below.
-                auto r = below_->access(issue, la, line,
-                                        write && !allocate);
+                // Fetch the line below.
+                auto r = below_->access(issue, la, line, false);
                 res.bytes_below += line;
                 line_done = r.complete;
             }

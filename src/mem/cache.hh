@@ -4,9 +4,10 @@
  *
  * Used for the GPU L1D (32 KB, 128 B lines), shared instruction
  * caches, XCD L2 (4 MB), CPU L1/L2/L3, and as the base of the
- * Infinity Cache slices. Misses recurse into the next level
- * (another MemDevice), writebacks of dirty victims are issued as
- * writes below, and all traffic is accounted in stats.
+ * Infinity Cache slices. Every level is LRU, write-back and
+ * write-allocate: misses recurse into the next level (another
+ * MemDevice), writebacks of dirty victims are issued as writes
+ * below, and all traffic is accounted in stats.
  */
 
 #ifndef EHPSIM_MEM_CACHE_HH
@@ -29,9 +30,6 @@ struct CacheParams
     Cycles latency_cycles = 4;          ///< hit latency
     double clock_ghz = 2.0;             ///< clock for latency/bandwidth
     double bytes_per_cycle = 64;        ///< port bandwidth
-    ReplPolicy policy = ReplPolicy::lru;
-    bool write_through = false;         ///< else write-back
-    bool write_allocate = true;
 };
 
 class Cache : public MemDevice

@@ -23,13 +23,8 @@ isPow2(std::uint64_t v)
 } // anonymous namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
-                       unsigned line_bytes, ReplPolicy policy,
-                       std::uint64_t seed)
-    : size_bytes_(size_bytes),
-      assoc_(assoc),
-      line_bytes_(line_bytes),
-      policy_(policy),
-      rng_(seed)
+                       unsigned line_bytes)
+    : size_bytes_(size_bytes), assoc_(assoc), line_bytes_(line_bytes)
 {
     if (assoc == 0 || line_bytes == 0 || size_bytes == 0)
         fatal("cache geometry must be nonzero");
@@ -49,7 +44,6 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned assoc,
     line_shift_ = static_cast<unsigned>(std::countr_zero(line_bytes_));
     set_mask_ = num_sets_ - 1;
     blocks_.assign(2 * static_cast<std::size_t>(num_sets_) * assoc_, 0);
-    plru_bits_.assign(num_sets_, 0);
 }
 
 unsigned
@@ -68,24 +62,6 @@ void
 CacheArray::touchHit(unsigned set, unsigned way)
 {
     setBlock(set)[assoc_ + way] = ++use_counter_;
-    if (policy_ != ReplPolicy::plru)
-        return;
-    // Mark the path to this way as recently used.
-    std::uint32_t &bits = plru_bits_[set];
-    unsigned node = 1;
-    unsigned lo = 0, hi = assoc_;
-    while (hi - lo > 1) {
-        const unsigned mid = (lo + hi) / 2;
-        if (way < mid) {
-            bits |= (1u << node);
-            node = node * 2;
-            hi = mid;
-        } else {
-            bits &= ~(1u << node);
-            node = node * 2 + 1;
-            lo = mid;
-        }
-    }
 }
 
 std::optional<unsigned>
@@ -145,32 +121,7 @@ CacheArray::scan(unsigned set, Addr tag)
             oldest = way;
         }
     }
-    if (invalid != assoc_)
-        return {invalid, false};
-    switch (policy_) {
-      case ReplPolicy::lru:
-        return {oldest, false};
-      case ReplPolicy::plru: {
-        // Walk the tree away from recently-used halves.
-        unsigned node = 1;
-        unsigned lo = 0, hi = assoc_;
-        while (hi - lo > 1) {
-            const unsigned mid = (lo + hi) / 2;
-            const bool left_recent = plru_bits_[set] & (1u << node);
-            if (left_recent) {
-                node = node * 2 + 1;
-                lo = mid;
-            } else {
-                node = node * 2;
-                hi = mid;
-            }
-        }
-        return {lo, false};
-      }
-      case ReplPolicy::random:
-        return {static_cast<unsigned>(rng_.nextBounded(assoc_)), false};
-    }
-    panic("bad replacement policy");
+    return {invalid != assoc_ ? invalid : oldest, false};
 }
 
 std::optional<CacheLine>
@@ -270,7 +221,6 @@ CacheArray::snapshot(SnapshotWriter &w) const
     w.putU64(size_bytes_);
     w.putU32(assoc_);
     w.putU32(line_bytes_);
-    rng_.snapshot(w);
     w.putU64(use_counter_);
     w.putU64(numValid());
     for (unsigned set = 0; set < num_sets_; ++set) {
@@ -287,18 +237,6 @@ CacheArray::snapshot(SnapshotWriter &w) const
             w.putBool(l.prefetched);
         }
     }
-    std::uint64_t nonzero = 0;
-    for (std::uint32_t bits : plru_bits_) {
-        if (bits)
-            ++nonzero;
-    }
-    w.putU64(nonzero);
-    for (std::size_t s = 0; s < plru_bits_.size(); ++s) {
-        if (plru_bits_[s]) {
-            w.putU32(static_cast<std::uint32_t>(s));
-            w.putU32(plru_bits_[s]);
-        }
-    }
 }
 
 void
@@ -313,7 +251,6 @@ CacheArray::restore(SnapshotReader &r)
               size_bytes_, " B x", assoc_, "-way x", line_bytes_,
               " B lines — checkpoint/config mismatch");
     }
-    rng_.restore(r);
     use_counter_ = r.getU64();
     std::fill(blocks_.begin(), blocks_.end(), 0);
     const std::uint64_t lines =
@@ -337,15 +274,6 @@ CacheArray::restore(SnapshotReader &r)
         const unsigned way = static_cast<unsigned>(idx % assoc_);
         block[way] = pack(tag, dirty, prefetched);
         block[assoc_ + way] = stamp;
-    }
-    plru_bits_.assign(num_sets_, 0);
-    const std::uint64_t nonzero = r.getU64();
-    for (std::uint64_t i = 0; i < nonzero; ++i) {
-        const std::uint32_t s = r.getU32();
-        if (s >= plru_bits_.size())
-            fatal("cache snapshot PLRU set ", s,
-                  " out of range — corrupt checkpoint");
-        plru_bits_[s] = r.getU32();
     }
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * A generic set-associative tag array with pluggable replacement.
+ * A generic set-associative tag array with true-LRU replacement.
  *
  * CacheArray is purely structural (tags + per-line metadata); timing
  * and statistics live in the wrapping cache models. It underpins the
@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/rng.hh"
 #include "sim/types.hh"
 
 namespace ehpsim
@@ -26,14 +25,6 @@ class SnapshotReader;
 
 namespace mem
 {
-
-/** Replacement policy selection. */
-enum class ReplPolicy
-{
-    lru,        ///< true LRU via access timestamps
-    plru,       ///< tree pseudo-LRU
-    random,     ///< uniform random victim
-};
 
 /** A line's contents as handed out for a victim or a flushed line. */
 struct CacheLine
@@ -60,12 +51,9 @@ class CacheArray
      * @param size_bytes Total capacity.
      * @param assoc Ways per set.
      * @param line_bytes Cache line size.
-     * @param policy Replacement policy.
-     * @param seed RNG seed (random policy only).
      */
     CacheArray(std::uint64_t size_bytes, unsigned assoc,
-               unsigned line_bytes, ReplPolicy policy = ReplPolicy::lru,
-               std::uint64_t seed = 1);
+               unsigned line_bytes);
 
     std::uint64_t sizeBytes() const { return size_bytes_; }
 
@@ -144,16 +132,15 @@ class CacheArray
     bool tagsUnique() const;
 
     /**
-     * @{ Checkpoint the replacement state and the valid lines
-     * (DESIGN.md §16). Sparse: only valid lines and nonzero PLRU
-     * words are written — a residual stamp on an invalidated line
-     * is never observed (every scan gates on valid, a fill rewrites
-     * the tag word and stamp), so dropping them is behaviorally
-     * identical and keeps an untouched multi-MiB array to a few
-     * bytes. Each line record keeps a zero byte where a per-line
-     * coherence state once sat, so the format is unchanged.
-     * restore() fatals when the saved geometry disagrees with the
-     * configured one.
+     * @{ Checkpoint the LRU clock and the valid lines (DESIGN.md
+     * §16). Sparse: only valid lines are written — a residual stamp
+     * on an invalidated line is never observed (every scan gates on
+     * valid, a fill rewrites the tag word and stamp), so dropping
+     * them is behaviorally identical and keeps an untouched
+     * multi-MiB array to a few bytes. Each line record keeps a zero
+     * byte where a per-line coherence state once sat. restore()
+     * fatals when the saved geometry disagrees with the configured
+     * one.
      */
     void snapshot(SnapshotWriter &w) const;
     void restore(SnapshotReader &r);
@@ -185,7 +172,7 @@ class CacheArray
 
     /**
      * One pass over @p set for @p tag: @return {way, hit}. On a miss
-     * the way is the first invalid one, else the policy's victim.
+     * the way is the first invalid one, else the LRU way.
      */
     std::pair<unsigned, bool> scan(unsigned set, Addr tag);
 
@@ -196,7 +183,7 @@ class CacheArray
     std::optional<CacheLine> place(unsigned set, unsigned way, Addr tag,
                                    bool dirty, bool prefetched);
 
-    /** Record a hit on @p way: LRU stamp and PLRU path. */
+    /** Record a hit on @p way: its LRU stamp. */
     void touchHit(unsigned set, unsigned way);
 
     static std::uint64_t
@@ -220,11 +207,8 @@ class CacheArray
     Addr line_mask_;
     unsigned line_shift_;
     unsigned set_mask_;
-    ReplPolicy policy_;
-    Rng rng_;
     std::uint64_t use_counter_ = 0;
     std::vector<std::uint64_t> blocks_;     ///< set blocks, see above
-    std::vector<std::uint32_t> plru_bits_;  ///< per-set PLRU tree
 };
 
 } // namespace mem

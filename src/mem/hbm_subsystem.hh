@@ -1,24 +1,24 @@
 /**
  * @file
- * The full in-package memory system: interleave map + per-channel
- * Infinity Cache slice + HBM channel (paper Sec. IV.D).
+ * The HBM channel-health ledger (paper Sec. IV.D).
  *
  * MI300A: 8 stacks x 16 channels = 128 channels, 128 GB, ~5.3 TB/s
- * HBM peak and up to 17 TB/s from the Infinity Cache. The subsystem
- * is itself a MemDevice: the fabric (or a test) throws addresses at
- * it and the interleave map picks the slice.
+ * HBM peak. The timed memory itself — interleave, fabric route,
+ * Infinity Cache slice, HBM channel — is soc::Package's; this ledger
+ * only records which channels a fault has mapped out. A blackout
+ * remaps nothing: it lowers the live-channel count, and serving
+ * scales its HBM bandwidth (and KV pool) by live / total channels.
  */
 
 #ifndef EHPSIM_MEM_HBM_SUBSYSTEM_HH
 #define EHPSIM_MEM_HBM_SUBSYSTEM_HH
 
-#include <memory>
 #include <vector>
 
 #include "mem/dram.hh"
 #include "mem/infinity_cache.hh"
 #include "mem/interleave.hh"
-#include "mem/mem_device.hh"
+#include "sim/sim_object.hh"
 
 namespace ehpsim
 {
@@ -34,37 +34,32 @@ struct HbmSubsystemParams
     DramParams channel = hbm3ChannelParams();
     InfinityCacheParams cache;          ///< per-channel slice
     bool enable_infinity_cache = true;  ///< MI250X has none
+
+    unsigned numChannels() const
+    {
+        return num_stacks * channels_per_stack;
+    }
 };
 
-class HbmSubsystem : public MemDevice
+class HbmSubsystem : public SimObject
 {
   public:
     HbmSubsystem(SimObject *parent, const std::string &name,
                  const HbmSubsystemParams &params);
 
-    AccessResult access(Tick when, Addr addr, std::uint64_t bytes,
-                        bool write) override;
-
-    const InterleaveMap &interleave() const { return map_; }
-
-    const HbmSubsystemParams &params() const { return params_; }
-
-    unsigned numChannels() const { return map_.numChannels(); }
-
-    DramChannel *channel(unsigned i) { return channels_[i].get(); }
-
-    InfinityCacheSlice *slice(unsigned i)
-    {
-        return params_.enable_infinity_cache ? slices_[i].get()
-                                             : nullptr;
-    }
+    unsigned numChannels() const { return params_.numChannels(); }
 
     /**
-     * Map out @p channel (HBM fault): its traffic re-interleaves
-     * onto a surviving stand-in channel — same stack preferred —
-     * and peak bandwidth drops accordingly. Fatal on a bad index,
-     * a channel that is already dark, or the last live channel.
+     * The blackout rule, shared by blackoutChannel() and fault-plan
+     * validation: fatal, prefixed with @p who, unless @p channel is
+     * a live channel of the ledger whose dark flags are @p dark and
+     * not its last live one.
      */
+    static void checkBlackout(const std::string &who,
+                              const std::vector<bool> &dark,
+                              unsigned channel);
+
+    /** Map out @p channel (HBM fault); checkBlackout() first. */
     void blackoutChannel(unsigned channel);
 
     bool channelAlive(unsigned channel) const;
@@ -75,26 +70,12 @@ class HbmSubsystem : public MemDevice
     /** Peak HBM bandwidth across the live channels (bytes/s). */
     BytesPerSecond peakHbmBandwidth() const;
 
-    /** Peak Infinity-Cache bandwidth across the live slices
-     *  (bytes/s). */
-    BytesPerSecond peakCacheBandwidth() const;
-
-    /** Aggregate achieved bandwidth since construction. */
-    double achievedBandwidth(Tick now) const;
-
-    /** Aggregate Infinity-Cache hit rate (0 when disabled). */
-    double cacheHitRate() const;
-
     /** @{ statistics */
-    stats::Scalar accesses;
-    stats::Scalar total_bytes;
     stats::Scalar channels_dark;
-    stats::Scalar remapped_accesses;
     stats::Formula degraded_peak_gbps;
     /** @} */
 
-    /** @{ checkpoint: stats + channel/slice children (base walk),
-     *  then the blackout remap table, liveness, and watermarks
+    /** @{ checkpoint: stats, then the dark flags and live count
      *  (DESIGN.md §16) */
     void snapshot(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
@@ -102,16 +83,8 @@ class HbmSubsystem : public MemDevice
 
   private:
     HbmSubsystemParams params_;
-    InterleaveMap map_;
-    std::vector<std::unique_ptr<DramChannel>> channels_;
-    std::vector<std::unique_ptr<InfinityCacheSlice>> slices_;
-    /** channel_remap_[c] = live stand-in for channel c (identity
-     *  while c is alive). */
-    std::vector<unsigned> channel_remap_;
     std::vector<bool> channel_dead_;
     unsigned live_channels_ = 0;
-    Tick first_access_ = maxTick;
-    Tick last_complete_ = 0;
 };
 
 } // namespace mem

@@ -22,8 +22,7 @@ InfinityCacheSlice::InfinityCacheSlice(SimObject *parent,
       bytes_from_hbm(this, "bytes_from_hbm",
                      "bytes moved between slice and HBM channel"),
       params_(params),
-      array_(params.size_bytes, params.assoc, params.line_bytes,
-             ReplPolicy::lru),
+      array_(params.size_bytes, params.assoc, params.line_bytes),
       channel_(channel),
       port_(params.hit_bandwidth / static_cast<double>(ticksPerSecond))
 {

@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "fault/fault_injector.hh"
 #include "serve/serving_engine.hh"
@@ -58,10 +59,26 @@ scenarioTrace(const ScenarioParams &p)
     return workloads::poissonArrivals(arrivalParams(p));
 }
 
+namespace
+{
+
+/** The serving world's HBM ledger: stock MI300 geometry at the
+ *  device's memory capacity. */
+mem::HbmSubsystemParams
+hbmParams(const ServingConfig &cfg)
+{
+    mem::HbmSubsystemParams hp;
+    hp.capacity_bytes = cfg.mem_capacity;
+    return hp;
+}
+
+} // namespace
+
 void
 ScenarioParams::validate() const
 {
-    scenarioConfig(*this).validate();
+    const ServingConfig cfg = scenarioConfig(*this);
+    cfg.validate();
     // TP shards over the octo node's accelerators; its two EPYC
     // hosts are endpoints too, but never ranks.
     if (tp > soc::mi300xOctoDevices)
@@ -78,6 +95,14 @@ ScenarioParams::validate() const
     if (tp == 1 && !faults.link_faults.empty())
         fatal("serving scenario: tp 1 has no node fabric for link "
               "faults");
+    // Replay the blackouts on a copy of the ledger's dark flags, so a
+    // bad channel is refused once here rather than by every job.
+    std::vector<bool> dark(hbmParams(cfg).numChannels(), false);
+    for (const fault::ChannelFault &f : faults.channel_faults) {
+        mem::HbmSubsystem::checkBlackout("serving scenario: hbm", dark,
+                                         f.channel);
+        dark[f.channel] = true;
+    }
 }
 
 namespace
@@ -129,9 +154,8 @@ struct ScenarioWorld
                 std::move(ranks), &eq, cp);
         }
 
-        mem::HbmSubsystemParams hp;
-        hp.capacity_bytes = cfg.mem_capacity;
-        hbm = std::make_unique<mem::HbmSubsystem>(&root, "hbm", hp);
+        hbm = std::make_unique<mem::HbmSubsystem>(&root, "hbm",
+                                                  hbmParams(cfg));
 
         engine = std::make_unique<ServingEngine>(
             &root, "engine", &eq, cfg, scenarioTrace(p), group.get(),

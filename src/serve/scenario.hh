@@ -68,9 +68,12 @@ struct ScenarioParams
      * Fatal on a scenario the run would reject: an unknown device,
      * tp outside 1..mi300xOctoDevices, a zero token budget, batch
      * cap, or token count, a nonpositive load, no KV capacity left
-     * by the weights, a bad fault plan, or a chunk error rate or
-     * link fault at tp 1 (no comm group or fabric). Every run validates
-     * itself; callers launching many runs validate each up front.
+     * by the weights, a bad fault plan, a chunk error rate or link
+     * fault at tp 1 (no comm group or fabric), or a blackout that
+     * mem::HbmSubsystem::checkBlackout() refuses (no such channel, a
+     * channel named twice, the last live channel). Every run
+     * validates itself; callers launching many runs validate each up
+     * front.
      */
     void validate() const;
 };

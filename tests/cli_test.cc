@@ -118,6 +118,12 @@ TEST(CliFlags, MalformedInputExitsTwo)
         {"--nps 7", "--nps: unknown value '7' (want one of 1, 4)"},
         {"fault --kill a:b@-5", "bad link fault 'a:b@-5'"},
         {"serve --blackout 3x@5", "bad blackout spec '3x@5'"},
+        // Blackouts a job would refuse when they fire: caught once,
+        // up front, by the rule the HBM ledger applies.
+        {"serve --tp 8 --loads 1.0,2.0 --requests 8 --blackout 200@1000",
+         "no HBM channel 200 (128 channels)"},
+        {"serve --blackout 3@1000 --blackout 3@2000",
+         "HBM channel 3 already dark"},
         {"comm --jsno x.json", "unknown flag '--jsno'"},
         // tp 9 and 10 reach the octo node's EPYC hosts, tp 16 runs
         // off its endpoints.

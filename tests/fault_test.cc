@@ -3,8 +3,8 @@
  * Tests for the fault-injection subsystem: plan validation and
  * parsing, CU harvesting, link kill/derate with rerouting around
  * dead links, retry/backoff on transient chunk errors, HBM channel
- * blackout with interleave remap, and byte-identical fault sweeps
- * across worker counts.
+ * blackout on the live-channel ledger, and byte-identical fault
+ * sweeps across worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -479,7 +479,7 @@ TEST(FaultRetry, ExhaustionOnPdesWorkersFatalsOnTheCaller)
 // HBM channel blackout
 // ---------------------------------------------------------------------
 
-TEST(HbmBlackout, RemapsTrafficAndDegradesPeak)
+TEST(HbmBlackout, DarkensChannelAndDegradesPeak)
 {
     SimObject root(nullptr, "root");
     mem::HbmSubsystem hbm(&root, "hbm", smallHbm());
@@ -494,12 +494,6 @@ TEST(HbmBlackout, RemapsTrafficAndDegradesPeak)
     EXPECT_DOUBLE_EQ(hbm.channels_dark.value(), 1.0);
     EXPECT_DOUBLE_EQ(hbm.degraded_peak_gbps.value(),
                      hbm.peakHbmBandwidth() / 1e9);
-
-    // Stream stripes across many pages: everything that interleaved
-    // onto the dark channel lands on a live stand-in instead.
-    for (Addr a = 0; a < (64ull << 12); a += 256)
-        hbm.access(0, a, 256, false);
-    EXPECT_GT(hbm.remapped_accesses.value(), 0.0);
 }
 
 TEST(HbmBlackout, Validation)

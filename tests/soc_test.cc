@@ -102,6 +102,35 @@ TEST(Package, LargeAccessSpreadsAcrossStacks)
     EXPECT_GT(used_stacks, 4u);
 }
 
+TEST(Package, StreamUsesManyChannels)
+{
+    SimObject root(nullptr, "root");
+    ProductConfig cfg = mi300aConfig();
+    cfg.hbm.cache.prefetch_depth = 0;
+    Package pkg(&root, "mi300a", cfg);
+    for (Addr a = 0; a < (1 << 20); a += 256)
+        pkg.memAccessFrom(pkg.xcdNode(0), 0, a, 256, false);
+    unsigned used = 0;
+    for (unsigned ch = 0; ch < pkg.memMap().numChannels(); ++ch) {
+        if (pkg.channel(ch)->bytes_served.value() > 0)
+            ++used;
+    }
+    EXPECT_GT(used, 100u);
+}
+
+TEST(Package, Mi250xAccessGoesStraightToHbm)
+{
+    SimObject root(nullptr, "root");
+    Package pkg(&root, "mi250x", mi250xConfig());
+    EXPECT_EQ(pkg.slice(0), nullptr);
+    pkg.memAccessFrom(pkg.xcdNode(0), 0, 0, 256, false);
+    EXPECT_DOUBLE_EQ(pkg.cacheHitRate(), 0.0);
+    double served = 0;
+    for (unsigned ch = 0; ch < pkg.memMap().numChannels(); ++ch)
+        served += pkg.channel(ch)->bytes_served.value();
+    EXPECT_DOUBLE_EQ(served, 256.0);
+}
+
 TEST(Package, PartitionModesMatchFig17)
 {
     SimObject root(nullptr, "root");
